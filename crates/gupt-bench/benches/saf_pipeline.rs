@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gupt_core::{
-    partition, sample_and_aggregate, BlockView, GuptRuntimeBuilder, QuerySpec, RangeEstimation,
+    partition_range, sample_and_aggregate, BlockView, GuptRuntimeBuilder, QuerySpec,
+    RangeEstimation,
 };
 use gupt_dp::{Epsilon, OutputRange};
 use rand::{rngs::StdRng, SeedableRng};
@@ -18,7 +19,7 @@ fn bench_partition(c: &mut Criterion) {
             &gamma,
             |b, &gamma| {
                 let mut rng = StdRng::seed_from_u64(1);
-                b.iter(|| black_box(partition(100_000, 1_000, gamma, &mut rng)))
+                b.iter(|| black_box(partition_range(0, 100_000, 1_000, gamma, &mut rng)))
             },
         );
     }

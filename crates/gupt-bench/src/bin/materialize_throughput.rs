@@ -14,7 +14,7 @@
 //! Run: `cargo run -p gupt-bench --bin materialize_throughput --release`
 
 use gupt_bench::report::{banner, RunReport};
-use gupt_core::{partition, GuptRuntimeBuilder, QuerySpec, RangeEstimation, RowStore};
+use gupt_core::{partition_range, GuptRuntimeBuilder, QuerySpec, RangeEstimation, RowStore};
 use gupt_dp::{Epsilon, OutputRange};
 use gupt_sandbox::BlockView;
 use rand::{rngs::StdRng, SeedableRng};
@@ -66,7 +66,7 @@ fn main() {
     let mut speedup_at_gate = 0.0;
     for gamma in GAMMAS {
         let mut rng = StdRng::seed_from_u64(0xDA7A + gamma as u64);
-        let plan = partition(n, beta, gamma, &mut rng);
+        let plan = partition_range(0, n, beta, gamma, &mut rng);
         let blocks = plan.blocks().len();
 
         // Clone plane: every block's rows deep-copied out of the store.

@@ -14,6 +14,7 @@ use gupt_datasets::internet_ads::InternetAdsDataset;
 use gupt_datasets::life_sciences::{LifeSciencesConfig, LifeSciencesDataset};
 use gupt_dp::{Epsilon, OutputRange};
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 
 /// Top-level error type: boxed because every subsystem has its own.
 pub type CliError = Box<dyn std::error::Error>;
@@ -260,7 +261,7 @@ fn query(args: &Args) -> Result<String, CliError> {
     });
     let gamma: usize = args.get_parsed("gamma", "integer")?.unwrap_or(1);
     let threads: Option<usize> = args.get_parsed("threads", "integer")?;
-    let block_size: Option<usize> = args.get_parsed("block-size", "integer")?;
+    let block_size: Option<NonZeroUsize> = args.get_parsed("block-size", "positive integer")?;
     let aged_fraction: Option<f64> = args.get_parsed("aged-fraction", "fraction")?;
     let group_column: Option<usize> = args.get_parsed("group-column", "column index")?;
     let aggregator = match args.get("aggregator") {
@@ -304,7 +305,7 @@ fn query(args: &Args) -> Result<String, CliError> {
         .aggregator(aggregator)
         .range_estimation(estimation);
     if let Some(b) = block_size {
-        spec = spec.fixed_block_size(b);
+        spec = spec.fixed_block_size(b.get());
     }
     if telemetry_mode.is_some() {
         spec = spec.collect_telemetry();
@@ -501,8 +502,8 @@ fn query_sql(args: &Args) -> Result<String, CliError> {
     if let Some(mc) = args.get_parsed::<f64>("min-count", "non-negative number")? {
         options.min_count = mc;
     }
-    if let Some(b) = args.get_parsed::<usize>("block-size", "integer")? {
-        options.block_size = Some(b);
+    if let Some(b) = args.get_parsed::<NonZeroUsize>("block-size", "positive integer")? {
+        options.block_size = Some(b.get());
     }
 
     // Parse up front: the FROM clause names the dataset the CSV binds

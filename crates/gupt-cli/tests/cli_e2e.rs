@@ -147,6 +147,43 @@ fn failed_query_spends_nothing() {
 }
 
 #[test]
+fn zero_block_size_is_a_usage_error_that_spends_nothing() {
+    let csv = tmp("zero_beta.csv");
+    let ledger = tmp("zero_beta.ledger");
+    let csv_s = csv.to_str().unwrap();
+    let ledger_s = ledger.to_str().unwrap();
+    run(&["generate", "census", "--rows", "500", "--out", csv_s]);
+    run(&["ledger", "init", "--ledger", ledger_s, "--budget", "2.0"]);
+    let before = stdout(&run(&["ledger", "show", "--ledger", ledger_s]));
+
+    let common = [
+        "query",
+        "--data",
+        csv_s,
+        "--ledger",
+        ledger_s,
+        "--header",
+        "yes",
+        "--range",
+        "0,150",
+        "--block-size",
+        "0",
+    ];
+    let one_shot = run(&[&common[..], &["--program", "mean:0", "--epsilon", "0.5"]].concat());
+    let sql = run(&[
+        &common[..],
+        &["--sql", "SELECT AVG(c0) FROM ages WITH EPSILON 1.0"],
+    ]
+    .concat());
+    for out in [one_shot, sql] {
+        assert!(!out.status.success());
+        assert!(stderr(&out).contains("--block-size"), "{}", stderr(&out));
+    }
+    let after = stdout(&run(&["ledger", "show", "--ledger", ledger_s]));
+    assert_eq!(after, before);
+}
+
+#[test]
 fn telemetry_json_lands_on_stderr_with_full_schema() {
     let csv = tmp("telemetry.csv");
     let csv_s = csv.to_str().unwrap();

@@ -15,11 +15,11 @@
 //! a batch either owns its full allocation or fails closed without
 //! spending anything.
 
-use crate::blocks::default_block_size;
 use crate::budget_distribution::{distribute_budget, QueryNoiseProfile};
+use crate::cache::QueryFingerprint;
 use crate::error::GuptError;
-use crate::query::{BlockSizeSpec, QuerySpec};
-use crate::runtime::{ChargeMode, GuptRuntime, PrivateAnswer};
+use crate::query::{BudgetSpec, QuerySpec};
+use crate::runtime::{GuptRuntime, PrivateAnswer};
 use gupt_dp::Epsilon;
 
 /// The result of a batch run: per-query answers plus the allocation.
@@ -37,17 +37,19 @@ impl GuptRuntime {
     /// Runs `queries` against `dataset`, splitting `total_budget` across
     /// them with the §5.2 noise-equalising rule.
     ///
-    /// Each query must use `RangeEstimation::Tight` or
-    /// `RangeEstimation::Loose` (their planning-time widths determine
-    /// ζᵢ; `Helper` widths are resolvable too via the translator) and an
-    /// explicit or defaulted block size. Accuracy-goal budgets are
+    /// Each member is planned exactly as [`GuptRuntime::run`] plans it,
+    /// on one row snapshot shared by the whole batch, and its ζᵢ comes
+    /// from that plan's range width and block count. An `Optimized`
+    /// member's β is optimized at its own spec ε before the split, the
+    /// provisional-ε rule accuracy goals use. Accuracy-goal budgets are
     /// rejected — a goal already implies its own ε, so it cannot also
     /// receive a share of a common budget.
     ///
     /// The ledger sees the batch as **one** charge of `total_budget`,
-    /// debited atomically after planning succeeds; if a later member
-    /// then fails (e.g. an invalid spec), the budget stays spent —
-    /// fail-closed, like any charged query.
+    /// debited atomically after every member has been planned, so a
+    /// member `run` would refuse fails the batch before anything is
+    /// spent. An error while executing a member after the debit leaves
+    /// the budget spent — fail-closed, like any charged query.
     pub fn run_batch(
         &self,
         dataset: &str,
@@ -69,34 +71,29 @@ impl GuptRuntime {
         if queries.is_empty() {
             return Err(GuptError::InvalidSpec("empty query batch".into()));
         }
-        let n = self.dataset_len(dataset)?;
-
-        // Plan: derive each query's noise profile from its spec.
-        let mut profiles = Vec::with_capacity(queries.len());
-        for spec in &queries {
-            if matches!(spec.budget(), crate::query::BudgetSpec::Accuracy(_)) {
-                return Err(GuptError::InvalidSpec(
-                    "batch queries must not carry accuracy goals; \
-                     the batch distributes an explicit shared budget"
-                        .into(),
-                ));
-            }
-            let ranges = crate::runtime::planning_ranges(spec)?;
-            let width = ranges.iter().map(|r| r.width()).fold(0.0, f64::max);
-            let beta = match spec.block_size_spec() {
-                BlockSizeSpec::Fixed(b) => b.clamp(1, n.max(1)),
-                // `Optimized` needs an ε to optimise against, which the
-                // batch has not allocated yet; plan with the default.
-                BlockSizeSpec::Default | BlockSizeSpec::Optimized => default_block_size(n),
-            };
-            let blocks_per_round = n.div_ceil(beta.max(1)).max(1);
-            profiles.push(QueryNoiseProfile {
-                output_width: width,
-                num_blocks: spec.gamma() * blocks_per_round,
-                gamma: spec.gamma(),
-            });
+        if queries
+            .iter()
+            .any(|spec| matches!(spec.budget(), BudgetSpec::Accuracy(_)))
+        {
+            return Err(GuptError::InvalidSpec(
+                "batch queries must not carry accuracy goals; \
+                 the batch distributes an explicit shared budget"
+                    .into(),
+            ));
         }
-
+        let snap = self.snapshot(dataset)?;
+        let mut plans = queries
+            .iter()
+            .map(|spec| self.plan(&snap, spec, None))
+            .collect::<Result<Vec<_>, _>>()?;
+        let profiles: Vec<QueryNoiseProfile> = plans
+            .iter()
+            .map(|plan| QueryNoiseProfile {
+                output_width: plan.ranges.iter().map(|r| r.width()).fold(0.0, f64::max),
+                num_blocks: plan.num_blocks,
+                gamma: plan.gamma,
+            })
+            .collect();
         let shares = distribute_budget(total_budget, &profiles)?;
 
         // Split hits from misses *before* charging: each member is
@@ -105,12 +102,13 @@ impl GuptRuntime {
         // planning and execution can never leave a member both
         // uncharged and uncached. (A concurrent insert that would have
         // made a charged member a hit is a safe over-charge.)
-        let mut cached: Vec<Option<PrivateAnswer>> = Vec::with_capacity(queries.len());
+        let mut cached: Vec<Option<PrivateAnswer>> = Vec::with_capacity(plans.len());
         let mut miss_total = 0.0;
-        for (spec, share) in queries.iter().zip(&shares) {
-            let hit = self
-                .fingerprint_with_epsilon(dataset, spec, *share)
-                .and_then(|fp| self.cache().lookup(fp));
+        for (plan, &share) in plans.iter_mut().zip(&shares) {
+            plan.reallocate(share)?;
+            plan.fingerprint =
+                QueryFingerprint::compute_with_epsilon(dataset, snap.epoch, plan.spec, share);
+            let hit = plan.fingerprint.and_then(|fp| self.cache.lookup(fp));
             if hit.is_none() {
                 miss_total += share.value();
             }
@@ -121,35 +119,29 @@ impl GuptRuntime {
         // One atomic debit covering exactly the miss set: the full
         // budget when nothing hit (bit-identical to the pre-cache
         // behaviour), the sum of miss shares on a partial hit, and
-        // nothing at all when every member replays from the cache.
-        if misses == queries.len() {
-            self.charge_dataset_as(dataset, principal, total_budget)?;
+        // nothing at all when every member replays from the cache. The
+        // first executed member carries it, so it is debited before any
+        // member reads a row.
+        let mut debit = if misses == plans.len() {
+            Some(total_budget)
         } else if miss_total > 0.0 {
-            self.charge_dataset_as(
-                dataset,
-                principal,
-                Epsilon::new(miss_total).map_err(GuptError::Dp)?,
-            )?;
-        }
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut allocations = Vec::with_capacity(queries.len());
-        for ((spec, share), hit) in queries.into_iter().zip(shares).zip(cached) {
-            match hit {
-                Some(answer) => {
-                    allocations.push(0.0);
-                    answers.push(answer);
-                }
+            Some(Epsilon::new(miss_total).map_err(GuptError::Dp)?)
+        } else {
+            None
+        };
+        let mut answers = Vec::with_capacity(plans.len());
+        let mut allocations = Vec::with_capacity(plans.len());
+        for ((mut plan, share), hit) in plans.into_iter().zip(shares).zip(cached) {
+            let (allocation, answer) = match hit {
+                Some(answer) => (0.0, answer),
                 None => {
-                    allocations.push(share.value());
-                    answers.push(self.run_with_charge(
-                        dataset,
-                        None,
-                        spec.epsilon(share),
-                        ChargeMode::Precharged,
-                        None,
-                    )?);
+                    plan.charge = debit.take();
+                    plan.principal = principal;
+                    (share.value(), self.execute(plan)?)
                 }
-            }
+            };
+            allocations.push(allocation);
+            answers.push(answer);
         }
         Ok(BatchAnswer {
             answers,
@@ -367,6 +359,80 @@ mod tests {
             batch.allocations[1]
         );
         assert_eq!(second.answers[0].values, batch.answers[0].values);
+    }
+
+    #[test]
+    fn members_run_refuses_fail_before_the_batch_debit() {
+        let rt = GuptRuntimeBuilder::new()
+            .dataset(
+                "ages",
+                crate::dataset::Dataset::new(rows())
+                    .unwrap()
+                    .builder()
+                    .budget(eps(10.0))
+                    .principal("alice", 5.0),
+            )
+            .unwrap()
+            .seed(8)
+            .build();
+        let two_ranges = mean_spec().range_estimation(RangeEstimation::Tight(vec![
+            range(0.0, 100.0),
+            range(0.0, 100.0),
+        ]));
+        for bad in [
+            mean_spec().fixed_block_size(0),
+            two_ranges,
+            mean_spec().optimized_block_size(),
+        ] {
+            let expected = rt.run("ages", bad.clone().epsilon(eps(1.0))).unwrap_err();
+            let err = rt
+                .run_batch_as("ages", Some("alice"), vec![mean_spec(), bad], eps(2.0))
+                .unwrap_err();
+            assert_eq!(err.to_string(), expected.to_string());
+            assert_eq!(rt.remaining_budget("ages").unwrap(), 10.0);
+            let alice = rt.principal_state("ages", "alice").unwrap();
+            assert_eq!((alice.spent, alice.queries), (0.0, 0));
+        }
+    }
+
+    #[test]
+    fn noise_profiles_use_the_executed_block_plan() {
+        let ds = crate::dataset::Dataset::new(rows())
+            .unwrap()
+            .with_aged_fraction(0.2)
+            .unwrap();
+        let rt = GuptRuntimeBuilder::new()
+            .register("ages", ds, eps(100.0))
+            .unwrap()
+            .seed(9)
+            .build();
+        let members = vec![
+            mean_spec().optimized_block_size(),
+            variance_spec(),
+            mean_spec().resampling(2),
+        ];
+        let planned: Vec<usize> = members
+            .iter()
+            .map(|spec| rt.explain("ages", spec).unwrap().0.block_size)
+            .collect();
+        let batch = rt.run_batch("ages", members.clone(), eps(4.0)).unwrap();
+        let profiles: Vec<QueryNoiseProfile> = [100.0, 10_000.0, 100.0]
+            .into_iter()
+            .zip(&batch.answers)
+            .map(|(output_width, answer)| QueryNoiseProfile {
+                output_width,
+                num_blocks: answer.num_blocks,
+                gamma: answer.gamma,
+            })
+            .collect();
+        let shares: Vec<f64> = distribute_budget(eps(4.0), &profiles)
+            .unwrap()
+            .iter()
+            .map(|e| e.value())
+            .collect();
+        assert_eq!(batch.allocations, shares);
+        let executed: Vec<usize> = batch.answers.iter().map(|a| a.block_size).collect();
+        assert_eq!(executed, planned);
     }
 
     #[test]

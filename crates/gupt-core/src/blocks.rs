@@ -122,50 +122,17 @@ fn shuffle<R: Rng + ?Sized, T>(items: &mut [T], rng: &mut R) {
     }
 }
 
-/// Builds a partition plan: `gamma` independent shuffles of `0..n`, each
-/// chopped into blocks of `block_size` (the final block of a round may be
-/// smaller when `block_size ∤ n`).
-///
-/// Panics never; degenerate inputs are clamped (`block_size ∈ [1, n]`,
-/// `gamma ≥ 1`). With `n == 0` the plan has no blocks.
-pub fn partition<R: Rng + ?Sized>(
-    n: usize,
-    block_size: usize,
-    gamma: usize,
-    rng: &mut R,
-) -> BlockPlan {
-    let gamma = gamma.max(1);
-    if n == 0 {
-        return BlockPlan {
-            blocks: Vec::new(),
-            block_size: block_size.max(1),
-            gamma,
-            records: 0,
-        };
-    }
-    let block_size = block_size.clamp(1, n);
-    let mut blocks = Vec::with_capacity(gamma * n.div_ceil(block_size));
-    for _ in 0..gamma {
-        let mut order: Vec<usize> = (0..n).collect();
-        shuffle(&mut order, rng);
-        for chunk in order.chunks(block_size) {
-            blocks.push(Arc::from(chunk));
-        }
-    }
-    BlockPlan {
-        blocks,
-        block_size,
-        gamma,
-        records: n,
-    }
-}
-
 /// Builds a partition plan over the contiguous record range
-/// `start..end` of a larger store — the streaming-window path. Identical
-/// to [`partition`] over `end - start` records with every index offset
-/// by `start`, so the resulting [`BlockPlan`] views window rows in place
-/// (no copy, no re-indexing of the underlying store). An inverted range
-/// yields an empty plan.
+/// `start..end`: `gamma` independent shuffles of the range, each chopped
+/// into blocks of `block_size` (the final block of a round may be
+/// smaller when `block_size ∤ end - start`). `partition_range(0, n, ..)`
+/// partitions a whole table; a sub-range partitions one stream window,
+/// whose [`BlockPlan`] views the rows in place (no copy, no re-indexing
+/// of the underlying store).
+///
+/// Panics never; degenerate inputs are clamped (`block_size ∈ [1,
+/// end - start]`, `gamma ≥ 1`). An empty or inverted range yields a
+/// plan with no blocks.
 pub fn partition_range<R: Rng + ?Sized>(
     start: usize,
     end: usize,
@@ -274,7 +241,7 @@ mod tests {
 
     #[test]
     fn disjoint_partition_covers_all_indices_once() {
-        let plan = partition(1000, 100, 1, &mut rng());
+        let plan = partition_range(0, 1000, 100, 1, &mut rng());
         assert_eq!(plan.num_blocks(), 10);
         let mut seen = vec![0usize; 1000];
         for block in plan.blocks() {
@@ -289,7 +256,7 @@ mod tests {
     #[test]
     fn resampling_each_record_in_exactly_gamma_blocks() {
         let gamma = 4;
-        let plan = partition(500, 50, gamma, &mut rng());
+        let plan = partition_range(0, 500, 50, gamma, &mut rng());
         assert_eq!(plan.num_blocks(), gamma * 10);
         let mut counts = vec![0usize; 500];
         for block in plan.blocks() {
@@ -305,7 +272,7 @@ mod tests {
 
     #[test]
     fn uneven_sizes_keep_coverage() {
-        let plan = partition(103, 10, 2, &mut rng());
+        let plan = partition_range(0, 103, 10, 2, &mut rng());
         // Each round: 10 full blocks + 1 of size 3.
         assert_eq!(plan.num_blocks(), 22);
         let mut counts = vec![0usize; 103];
@@ -324,7 +291,7 @@ mod tests {
         let beta = 100;
         let s = 5.0;
         for gamma in [1usize, 2, 4, 8] {
-            let plan = partition(n, beta, gamma, &mut rng());
+            let plan = partition_range(0, n, beta, gamma, &mut rng());
             let sens = plan.average_sensitivity(s);
             assert!(
                 (sens - s * beta as f64 / n as f64).abs() < 1e-12,
@@ -335,19 +302,19 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_clamped() {
-        let plan = partition(10, 0, 0, &mut rng());
+        let plan = partition_range(0, 10, 0, 0, &mut rng());
         assert_eq!(plan.block_size(), 1);
         assert_eq!(plan.gamma(), 1);
         assert_eq!(plan.num_blocks(), 10);
 
-        let empty = partition(0, 5, 2, &mut rng());
+        let empty = partition_range(0, 0, 5, 2, &mut rng());
         assert_eq!(empty.num_blocks(), 0);
         assert_eq!(empty.average_sensitivity(1.0), 0.0);
     }
 
     #[test]
     fn block_size_larger_than_n_means_one_block_per_round() {
-        let plan = partition(7, 100, 3, &mut rng());
+        let plan = partition_range(0, 7, 100, 3, &mut rng());
         assert_eq!(plan.num_blocks(), 3);
         assert!(plan.blocks().iter().all(|b| b.len() == 7));
     }
@@ -356,7 +323,7 @@ mod tests {
     fn materialize_clones_correct_rows() {
         let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let store = RowStore::from_rows(&rows);
-        let plan = partition(20, 5, 1, &mut rng());
+        let plan = partition_range(0, 20, 5, 1, &mut rng());
         let all = plan.materialize_all(&store);
         assert_eq!(all.len(), 4);
         for (b, block) in all.iter().enumerate() {
@@ -368,10 +335,10 @@ mod tests {
 
     #[test]
     fn shuffles_are_seed_deterministic() {
-        let a = partition(100, 10, 2, &mut StdRng::seed_from_u64(5));
-        let b = partition(100, 10, 2, &mut StdRng::seed_from_u64(5));
+        let a = partition_range(0, 100, 10, 2, &mut StdRng::seed_from_u64(5));
+        let b = partition_range(0, 100, 10, 2, &mut StdRng::seed_from_u64(5));
         assert_eq!(a.blocks(), b.blocks());
-        let c = partition(100, 10, 2, &mut StdRng::seed_from_u64(6));
+        let c = partition_range(0, 100, 10, 2, &mut StdRng::seed_from_u64(6));
         assert_ne!(a.blocks(), c.blocks());
     }
 
@@ -388,8 +355,8 @@ mod tests {
         }
         assert!(counts[..100].iter().all(|&c| c == 0), "leaked below start");
         assert!(counts[100..].iter().all(|&c| c == 2));
-        // Matches `partition` shifted by the window start.
-        let shifted = partition(250, 50, 2, &mut StdRng::seed_from_u64(9));
+        // Matches the whole-table partition shifted by the window start.
+        let shifted = partition_range(0, 250, 50, 2, &mut StdRng::seed_from_u64(9));
         let ranged = partition_range(100, 350, 50, 2, &mut StdRng::seed_from_u64(9));
         for (a, b) in shifted.blocks().iter().zip(ranged.blocks()) {
             let bumped: Vec<usize> = a.iter().map(|&i| i + 100).collect();

@@ -109,27 +109,18 @@ impl ComputationManager {
         self.pool.run_all_traced(program, views)
     }
 
-    /// Like [`ComputationManager::execute_blocks`], but when `cap` is
-    /// set *and* the pool's policy has no execution budget of its own,
-    /// chambers run under the pool policy with `cap` as the kill bound.
-    /// An explicitly configured budget always wins — the owner's §6.2
-    /// timing-attack bound is not loosened by a lenient query deadline.
-    pub fn execute_blocks_capped(
-        &self,
-        program: &Arc<dyn BlockProgram>,
-        views: Vec<BlockView>,
-        cap: Option<Duration>,
-    ) -> (Vec<ChamberReport>, PoolTrace) {
-        self.execute_blocks_planned(program, views, cap, None, None)
-    }
-
     /// The full-featured dispatch behind the runtime's query path:
-    /// optional deadline cap (same precedence as
-    /// [`ComputationManager::execute_blocks_capped`]), optional
-    /// per-query [`ExecutionPolicy`] override (a `QuerySpec::execution`
-    /// or a service worker-budget cap), and optional per-query seed
-    /// base from which chamber `i`'s RNG stream is split *before*
-    /// fan-out, keeping answers bit-identical at any thread count.
+    /// optional deadline cap, optional per-query [`ExecutionPolicy`]
+    /// override (a `QuerySpec::execution` or a service worker-budget
+    /// cap), and optional per-query seed base from which chamber `i`'s
+    /// RNG stream is split *before* fan-out, keeping answers
+    /// bit-identical at any thread count.
+    ///
+    /// When `cap` is set *and* the pool's policy has no execution budget
+    /// of its own, chambers run under the pool policy with `cap` as the
+    /// kill bound. An explicitly configured budget always wins — the
+    /// owner's §6.2 timing-attack bound is not loosened by a lenient
+    /// query deadline.
     pub fn execute_blocks_planned(
         &self,
         program: &Arc<dyn BlockProgram>,
@@ -233,10 +224,12 @@ mod tests {
             std::thread::sleep(Duration::from_secs(5));
             vec![1.0]
         }));
-        let (reports, _) = manager.execute_blocks_capped(
+        let (reports, _) = manager.execute_blocks_planned(
             &slow,
             vec![view(&[vec![1.0]])],
             Some(Duration::from_millis(20)),
+            None,
+            None,
         );
         assert_eq!(reports[0].outcome, ChamberOutcome::TimedOut);
     }
@@ -252,10 +245,12 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             vec![1.0]
         }));
-        let (reports, _) = manager.execute_blocks_capped(
+        let (reports, _) = manager.execute_blocks_planned(
             &napper,
             vec![view(&[vec![3.0]])],
             Some(Duration::from_millis(1)),
+            None,
+            None,
         );
         assert_eq!(reports[0].outcome, ChamberOutcome::Completed);
     }

@@ -434,77 +434,48 @@ impl DatasetEntry {
     pub fn charge_as(&self, principal: Option<&str>, eps: Epsilon) -> Result<(), GuptError> {
         match principal {
             Some(name) => self.principals.charge_with(name, eps.value(), |books| {
-                self.debit_dataset(name, eps, books)
+                self.debit_dataset(principal, eps, books)
             }),
-            None => {
-                let books = self.principals.spent_books();
-                self.debit_dataset_unattributed(eps, &books)
-            }
+            None => self.debit_dataset(None, eps, &self.principals.spent_books()),
         }
     }
 
-    /// Debits the dataset ledger for a principal-attributed charge. The
-    /// WAL record carries the attribution (tag `0x03`), so dataset debit
-    /// and principal debit are one physical record that recovery replays
-    /// into both books. `books` already includes the in-flight charge
-    /// (see [`PrincipalTable::charge_with`]) — by compaction time the
-    /// record is in the WAL, so the snapshot must count it.
+    /// Debits the dataset ledger. On a durable entry the WAL record
+    /// carries the attribution (tag `0x03` for a principal, plain `0x01`
+    /// without), so dataset debit and principal debit are one physical
+    /// record that recovery replays into both books. `books` is used
+    /// only if this charge triggers compaction: for a principal it
+    /// already includes the in-flight charge (see
+    /// [`PrincipalTable::charge_with`]) — by compaction time the record
+    /// is in the WAL, so the snapshot must count it; without one it is
+    /// a pre-lock snapshot.
     fn debit_dataset(
         &self,
-        principal: &str,
+        principal: Option<&str>,
         eps: Epsilon,
         books: &BTreeMap<String, PrincipalBooks>,
     ) -> Result<(), GuptError> {
-        match &self.store {
-            None => self.ledger.charge(eps).map_err(GuptError::Dp),
-            Some(store) => {
-                let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
-                if !self.ledger.can_afford(eps) {
-                    return Err(GuptError::Dp(DpError::BudgetExhausted {
-                        requested: eps.value(),
-                        remaining: self.ledger.remaining(),
-                    }));
-                }
-                store.append_principal_charge(principal, eps.value())?;
-                self.ledger.charge(eps).map_err(GuptError::Dp)?;
-                store.maybe_compact(
-                    self.ledger.total(),
-                    self.ledger.spent(),
-                    self.ledger.query_count() as u64,
-                    books,
-                )
-            }
+        let Some(store) = &self.store else {
+            return self.ledger.charge(eps).map_err(GuptError::Dp);
+        };
+        let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
+        if !self.ledger.can_afford(eps) {
+            return Err(GuptError::Dp(DpError::BudgetExhausted {
+                requested: eps.value(),
+                remaining: self.ledger.remaining(),
+            }));
         }
-    }
-
-    /// Debits the dataset ledger without attribution (plain tag `0x01`
-    /// WAL record). `books` is a pre-lock snapshot used only if this
-    /// charge triggers compaction.
-    fn debit_dataset_unattributed(
-        &self,
-        eps: Epsilon,
-        books: &BTreeMap<String, PrincipalBooks>,
-    ) -> Result<(), GuptError> {
-        match &self.store {
-            None => self.ledger.charge(eps).map_err(GuptError::Dp),
-            Some(store) => {
-                let mut store = store.lock().unwrap_or_else(|p| p.into_inner());
-                if !self.ledger.can_afford(eps) {
-                    return Err(GuptError::Dp(DpError::BudgetExhausted {
-                        requested: eps.value(),
-                        remaining: self.ledger.remaining(),
-                    }));
-                }
-                store.append_charge(eps.value())?;
-                self.ledger.charge(eps).map_err(GuptError::Dp)?;
-                store.maybe_compact(
-                    self.ledger.total(),
-                    self.ledger.spent(),
-                    self.ledger.query_count() as u64,
-                    books,
-                )
-            }
+        match principal {
+            Some(name) => store.append_principal_charge(name, eps.value())?,
+            None => store.append_charge(eps.value())?,
         }
+        self.ledger.charge(eps).map_err(GuptError::Dp)?;
+        store.maybe_compact(
+            self.ledger.total(),
+            self.ledger.spent(),
+            self.ledger.query_count() as u64,
+            books,
+        )
     }
 }
 

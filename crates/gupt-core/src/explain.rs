@@ -2,19 +2,17 @@
 //!
 //! Before spending irreversible budget, an analyst can ask the runtime
 //! what a query *would* do: the block plan, the Theorem 1 budget splits,
-//! and the predicted Laplace noise scale per output dimension. The plan
-//! reads only the spec and dataset metadata (sizes, declared ranges) —
-//! never private values — so it is free.
+//! and the predicted Laplace noise scale per output dimension. The
+//! answer is read off the same plan `run` executes, built from the spec,
+//! dataset metadata (sizes, declared ranges) and aged rows — never
+//! private values — so it is free.
 
-use crate::blocks::default_block_size;
 use crate::error::GuptError;
-use crate::output_range::RangeEstimation;
-use crate::query::{BlockSizeSpec, BudgetSpec, QuerySpec};
+use crate::plan::Partition;
+use crate::query::QuerySpec;
 use crate::runtime::GuptRuntime;
-use crate::telemetry::{QueryTelemetry, Stage, TelemetryReport};
-use gupt_dp::Epsilon;
+use crate::telemetry::TelemetryReport;
 use std::fmt;
-use std::time::Instant;
 
 /// The per-stage budget split a query would use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,13 +28,19 @@ pub struct BudgetSplit {
 }
 
 /// A dry-run query plan.
+///
+/// On a dataset with a group column (user-level privacy, §8.1) blocks
+/// pack whole groups, so the real block count depends on private group
+/// sizes: there `num_blocks` is the upper bound `γ·⌈n/β⌉` and
+/// `noise_std_per_dim` a lower bound. Elsewhere both are exact.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// Total ε the query would charge.
     pub epsilon: f64,
     /// Block size β.
     pub block_size: usize,
-    /// Number of blocks ℓ (γ rounds included).
+    /// Number of blocks ℓ (γ rounds included); an upper bound on
+    /// group-atomic data.
     pub num_blocks: usize,
     /// Resampling factor γ.
     pub gamma: usize,
@@ -45,7 +49,8 @@ pub struct QueryPlan {
     /// The Theorem 1 split.
     pub split: BudgetSplit,
     /// Predicted Laplace noise standard deviation per output dimension
-    /// (`√2·γ·sᵈ/(ℓ·ε_dim)`), using planning-time range widths.
+    /// (`√2·γ·sᵈ/(ℓ·ε_dim)`), using planning-time range widths; a lower
+    /// bound on group-atomic data.
     pub noise_std_per_dim: Vec<f64>,
 }
 
@@ -76,10 +81,11 @@ impl GuptRuntime {
     /// Plans `spec` against `dataset` without executing anything or
     /// charging any budget.
     ///
+    /// The plan is the one [`GuptRuntime::run`] would execute.
     /// Accuracy-goal budgets are resolved through the aged-data
-    /// estimator (still free: aged data is non-private). The
-    /// `Optimized` block-size strategy is planned at the paper default,
-    /// since optimisation itself runs the program.
+    /// estimator, and an `Optimized` block size by running the §4.3
+    /// optimizer on the aged rows; both are still free, since aged data
+    /// is non-private.
     ///
     /// Always returns the [`TelemetryReport`] covering the planning-time
     /// stages (budget resolution and block planning — the only stages a
@@ -91,92 +97,35 @@ impl GuptRuntime {
         dataset: &str,
         spec: &QuerySpec,
     ) -> Result<(QueryPlan, TelemetryReport), GuptError> {
-        let mut tel = QueryTelemetry::enabled();
-        let start = Instant::now();
-        let plan = self.explain_impl(dataset, spec, &mut tel)?;
-        let report = tel
-            .finish(start.elapsed())
-            .expect("enabled collector always yields a report");
-        Ok((plan, report))
-    }
-
-    fn explain_impl(
-        &self,
-        dataset: &str,
-        spec: &QuerySpec,
-        tel: &mut QueryTelemetry,
-    ) -> Result<QueryPlan, GuptError> {
-        let n = self.dataset_len(dataset)?;
-        let p = spec.output_dimension();
-        if p == 0 {
-            return Err(GuptError::InvalidSpec(
-                "program declares zero output dimensions".into(),
-            ));
-        }
-        let mode = spec
-            .range_estimation
-            .as_ref()
-            .ok_or_else(|| GuptError::InvalidSpec("no range-estimation mode chosen".into()))?;
-        let plan_ranges = crate::runtime::planning_ranges(spec)?;
-        if plan_ranges.len() != p {
-            return Err(GuptError::DimensionMismatch {
-                expected: p,
-                got: plan_ranges.len(),
-            });
-        }
-
-        let stage_start = Instant::now();
-        let block_size = match spec.block_size_spec() {
-            BlockSizeSpec::Fixed(0) => {
-                return Err(GuptError::InvalidSpec("block size must be ≥ 1".into()))
-            }
-            BlockSizeSpec::Fixed(b) => b.clamp(1, n.max(1)),
-            BlockSizeSpec::Default | BlockSizeSpec::Optimized => default_block_size(n),
+        let snap = self.snapshot(dataset)?;
+        let plan = self.plan(&snap, spec, None)?;
+        let split = BudgetSplit {
+            aggregation_per_dim: plan.split.aggregation.value(),
+            range_estimation_per_dim: plan.split.estimation.map_or(0.0, |(e, _)| e.value()),
+            range_estimation_dims: plan.split.estimation.map_or(0, |(_, dims)| dims),
         };
-        let gamma = spec.gamma();
-        let num_blocks = gamma * n.div_ceil(block_size.max(1)).max(1);
-        tel.record_stage(Stage::BlockPlanning, stage_start.elapsed());
-
-        let stage_start = Instant::now();
-        let eps_total = match spec.budget() {
-            BudgetSpec::Epsilon(e) => e,
-            BudgetSpec::Accuracy(_) => self.estimate_epsilon_for(dataset, spec)?,
-        };
-        tel.record_stage(Stage::BudgetResolution, stage_start.elapsed());
-
-        let fraction = mode.aggregation_budget_fraction();
-        let aggregation_per_dim = eps_total.value() * fraction / p as f64;
-        let (range_estimation_per_dim, range_estimation_dims) = match mode {
-            RangeEstimation::Tight(_) => (0.0, 0),
-            RangeEstimation::Loose(_) => (eps_total.value() / 2.0 / p as f64, p),
-            RangeEstimation::Helper { .. } => {
-                let k = self.dataset_dimension(dataset)?;
-                (eps_total.value() / 2.0 / k.max(1) as f64, k)
-            }
-        };
-
-        let eps_dim = Epsilon::new(aggregation_per_dim).map_err(GuptError::Dp)?;
-        let noise_std_per_dim = plan_ranges
+        let noise_std_per_dim = plan
+            .ranges
             .iter()
             .map(|r| {
-                std::f64::consts::SQRT_2 * gamma as f64 * r.width()
-                    / (num_blocks as f64 * eps_dim.value())
+                std::f64::consts::SQRT_2 * plan.gamma as f64 * r.width()
+                    / (plan.num_blocks as f64 * split.aggregation_per_dim)
             })
             .collect();
-
-        Ok(QueryPlan {
-            epsilon: eps_total.value(),
-            block_size,
-            num_blocks,
-            gamma,
-            user_level: self.dataset_has_groups(dataset)?,
-            split: BudgetSplit {
-                aggregation_per_dim,
-                range_estimation_per_dim,
-                range_estimation_dims,
-            },
+        let query_plan = QueryPlan {
+            epsilon: plan.epsilon.value(),
+            block_size: plan.block_size,
+            num_blocks: plan.num_blocks,
+            gamma: plan.gamma,
+            user_level: plan.partition == Partition::Grouped,
+            split,
             noise_std_per_dim,
-        })
+        };
+        let report = plan
+            .telemetry(true)
+            .finish(plan.planned_in)
+            .expect("an enabled collector yields a report");
+        Ok((query_plan, report))
     }
 }
 
@@ -184,7 +133,9 @@ impl GuptRuntime {
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use crate::output_range::RangeEstimation;
     use crate::runtime::GuptRuntimeBuilder;
+    use gupt_dp::Epsilon;
     use gupt_dp::OutputRange;
 
     fn eps(v: f64) -> Epsilon {

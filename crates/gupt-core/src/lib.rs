@@ -63,6 +63,7 @@ pub mod dataset_manager;
 pub mod error;
 pub mod explain;
 pub mod output_range;
+mod plan;
 pub mod prelude;
 pub mod principal;
 pub mod query;
@@ -77,7 +78,7 @@ pub use aggregator::Aggregator;
 pub use aging::{aged_block_stats, AgedBlockStats};
 pub use batch::BatchAnswer;
 pub use block_size::{optimal_block_size, BlockSizeChoice};
-pub use blocks::{default_block_size, partition, partition_grouped, partition_range, BlockPlan};
+pub use blocks::{default_block_size, partition_grouped, partition_range, BlockPlan};
 pub use budget_distribution::{distribute_budget, QueryNoiseProfile};
 pub use budget_estimator::{estimate_epsilon, AccuracyGoal, TailBound};
 pub use cache::{

@@ -58,33 +58,6 @@ impl fmt::Debug for RangeEstimation {
     }
 }
 
-impl RangeEstimation {
-    /// The fraction of the total budget available to the *aggregation*
-    /// step under Theorem 1: all of it for `Tight`, half for the
-    /// estimating modes.
-    pub fn aggregation_budget_fraction(&self) -> f64 {
-        match self {
-            RangeEstimation::Tight(_) => 1.0,
-            RangeEstimation::Loose(_) | RangeEstimation::Helper { .. } => 0.5,
-        }
-    }
-}
-
-/// Validates tight ranges against the program's output arity
-/// (Theorem 1.2: aggregation gets `ε/p` per dimension).
-pub fn resolve_tight(
-    ranges: &[OutputRange],
-    output_dim: usize,
-) -> Result<Vec<OutputRange>, GuptError> {
-    if ranges.len() != output_dim {
-        return Err(GuptError::DimensionMismatch {
-            expected: output_dim,
-            got: ranges.len(),
-        });
-    }
-    Ok(ranges.to_vec())
-}
-
 /// `GUPT-loose` resolution (Theorem 1.3): DP quartiles of the per-block
 /// outputs, computed inside the analyst's loose range, spending
 /// `eps_per_dim` for each output dimension.
@@ -164,18 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn tight_validates_arity() {
-        assert!(resolve_tight(&[range(0.0, 1.0)], 1).is_ok());
-        assert!(matches!(
-            resolve_tight(&[range(0.0, 1.0)], 2).unwrap_err(),
-            GuptError::DimensionMismatch {
-                expected: 2,
-                got: 1
-            }
-        ));
-    }
-
-    #[test]
     fn loose_tightens_toward_quartiles() {
         // Block outputs clustered in [40, 60] with loose range [0, 1000]:
         // the resolved range must be far tighter than the loose one.
@@ -248,23 +209,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, GuptError::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn budget_fractions() {
-        assert_eq!(
-            RangeEstimation::Tight(vec![range(0.0, 1.0)]).aggregation_budget_fraction(),
-            1.0
-        );
-        assert_eq!(
-            RangeEstimation::Loose(vec![range(0.0, 1.0)]).aggregation_budget_fraction(),
-            0.5
-        );
-        let helper = RangeEstimation::Helper {
-            input_ranges: vec![range(0.0, 1.0)],
-            translate: Arc::new(|i: &[OutputRange]| i.to_vec()),
-        };
-        assert_eq!(helper.aggregation_budget_fraction(), 0.5);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!    the Theorem 1 budget split across input/output dimensions.
 //! 6. **Aggregation** — clamp, average, Laplace noise (Algorithm 1).
 //!
-//! Only the final noisy vector leaves the runtime.
+//! Every entry point (one-shot queries, batch members, stream windows,
+//! dry runs and ε estimates) resolves these stages through one plan and
+//! one executor; see `plan.rs`. Only the final noisy vector leaves the
+//! runtime.
 //!
 //! Datasets are not frozen at registration: rows arrive incrementally
 //! through [`GuptRuntime::append_rows`] (or a [`DatasetHandle`]), which
@@ -36,9 +39,6 @@
 //! thread interleaving. See [`crate::service::QueryService`] for the
 //! admission-controlled front door.
 
-use crate::aggregator::aggregate;
-use crate::blocks::{default_block_size, partition, partition_grouped, partition_range};
-use crate::budget_estimator::{estimate_epsilon, AccuracyGoal};
 use crate::cache::{AnswerCache, CacheStats, QueryFingerprint, DEFAULT_CACHE_CAPACITY};
 use crate::computation_manager::{ComputationManager, ExecutionSummary};
 use crate::dataset::Dataset;
@@ -46,7 +46,8 @@ use crate::dataset_manager::{
     AppendReceipt, DatasetEntry, DatasetManager, DatasetRegistration, IngestStats, LedgerState,
 };
 use crate::error::GuptError;
-use crate::output_range::{resolve_helper, resolve_loose, resolve_tight, RangeEstimation};
+use crate::output_range::RangeEstimation;
+use crate::plan::{planning_ranges, Snapshot};
 use crate::query::{BlockSizeSpec, BudgetSpec, QuerySpec};
 use crate::storage::{CacheRecord, RecoveredLedger, StorageStats};
 use crate::stream::{
@@ -54,11 +55,11 @@ use crate::stream::{
     STREAM_CACHE_EPOCH,
 };
 use crate::telemetry::{
-    IngestTelemetry, LedgerEvent, QueryTelemetry, Stage, StreamTelemetry, TelemetryReport,
+    IngestTelemetry, LedgerEvent, QueryTelemetry, StreamTelemetry, TelemetryReport,
 };
 use gupt_dp::{Epsilon, OutputRange};
 use gupt_sandbox::{ChamberPolicy, ExecutionPolicy};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -255,7 +256,7 @@ impl Default for GuptRuntimeBuilder {
 /// counter (`next_query_seed`).
 pub struct GuptRuntime {
     manager: DatasetManager,
-    computation: ComputationManager,
+    pub(crate) computation: ComputationManager,
     /// Base seed all per-query RNG streams are derived from.
     seed: u64,
     /// Monotone query sequence number; combined with `seed` it pins each
@@ -264,7 +265,7 @@ pub struct GuptRuntime {
     /// Released-answer cache: fingerprintable repeat queries are served
     /// from here at zero marginal ε (DP post-processing invariance),
     /// before any ledger charge or chamber execution.
-    cache: AnswerCache,
+    pub(crate) cache: AnswerCache,
     /// Continuous-query registry: subscription id → per-subscription
     /// state. Each subscription sits behind its own mutex that
     /// [`GuptRuntime::poll_window`] holds across the whole evaluation,
@@ -316,23 +317,6 @@ impl StreamCounters {
     }
 }
 
-/// Converts a released answer into its WAL journal form.
-fn to_cache_record(epoch: u64, fp: QueryFingerprint, answer: &PrivateAnswer) -> CacheRecord {
-    CacheRecord {
-        epoch,
-        fingerprint: fp.as_u128(),
-        epsilon_spent: answer.epsilon_spent,
-        block_size: answer.block_size as u64,
-        num_blocks: answer.num_blocks as u64,
-        gamma: answer.gamma as u64,
-        completed: answer.execution.completed as u64,
-        timed_out: answer.execution.timed_out as u64,
-        panicked: answer.execution.panicked as u64,
-        values: answer.values.clone(),
-        ranges: answer.ranges.iter().map(|r| (r.lo(), r.hi())).collect(),
-    }
-}
-
 /// Rebuilds a released answer from its WAL journal form. `None` when a
 /// range pair no longer validates — the record is skipped rather than
 /// replayed wrong.
@@ -358,15 +342,6 @@ fn answer_from_record(rec: &CacheRecord) -> Option<PrivateAnswer> {
     })
 }
 
-/// Converts an entry's ingest counters into their telemetry form.
-fn ingest_telemetry(stats: IngestStats) -> IngestTelemetry {
-    IngestTelemetry {
-        appends: stats.appends,
-        rows_appended: stats.rows_appended,
-        bytes_materialized: stats.bytes_materialized,
-    }
-}
-
 /// SplitMix64 finalizer: decorrelates nearby (seed, sequence) pairs so
 /// per-query streams share no detectable structure.
 fn mix64(mut z: u64) -> u64 {
@@ -374,17 +349,6 @@ fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// How [`GuptRuntime::run_with_charge`] settles the query's ε with the
-/// dataset ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChargeMode {
-    /// Debit the dataset ledger before touching private data (default).
-    Charge,
-    /// The caller already debited the ledger (a batch charges its total
-    /// allocation atomically up front); skip the per-query debit.
-    Precharged,
 }
 
 impl GuptRuntime {
@@ -396,18 +360,6 @@ impl GuptRuntime {
     /// Number of queries successfully charged against a dataset.
     pub fn queries_run(&self, dataset: &str) -> Result<usize, GuptError> {
         Ok(self.manager.get(dataset)?.ledger().query_count())
-    }
-
-    /// Atomically debits `eps` from a dataset's lifetime budget (used by
-    /// batches to reserve their whole allocation in one charge). Durable
-    /// datasets log the debit to their WAL before it is granted.
-    pub(crate) fn charge_dataset_as(
-        &self,
-        dataset: &str,
-        principal: Option<&str>,
-        eps: Epsilon,
-    ) -> Result<(), GuptError> {
-        self.manager.get(dataset)?.charge_as(principal, eps)
     }
 
     /// Per-principal quota books of a dataset, sorted by name. Empty for
@@ -478,16 +430,6 @@ impl GuptRuntime {
         Ok(self.manager.get(dataset)?.dataset().dimension())
     }
 
-    /// Whether a dataset declared a user/group column (§8.1).
-    pub fn dataset_has_groups(&self, dataset: &str) -> Result<bool, GuptError> {
-        Ok(self
-            .manager
-            .get(dataset)?
-            .dataset()
-            .group_column()
-            .is_some())
-    }
-
     /// Appends a delta of rows to a registered dataset (incremental
     /// ingest). Only the delta is validated and flattened — the existing
     /// rows are block-copied, never re-walked — and the registration
@@ -535,97 +477,36 @@ impl GuptRuntime {
         self.cache.stats()
     }
 
-    /// The answer cache (batch hit/miss splitting).
-    pub(crate) fn cache(&self) -> &AnswerCache {
-        &self.cache
-    }
-
-    /// Fingerprints `spec` against `dataset`'s current registration
-    /// epoch with an explicit ε (the batch path fingerprints members
-    /// with their allocated share). `None` when the cache is disabled or
-    /// the query is not fingerprintable.
-    pub(crate) fn fingerprint_with_epsilon(
-        &self,
-        dataset: &str,
-        spec: &QuerySpec,
-        eps: Epsilon,
-    ) -> Option<QueryFingerprint> {
-        if !self.cache.is_enabled() {
-            return None;
-        }
-        let entry = self.manager.get(dataset).ok()?;
-        QueryFingerprint::compute_with_epsilon(dataset, entry.epoch(), spec, eps)
-    }
-
-    /// Journals a freshly released answer into the cache (and, for a
-    /// durable dataset, its WAL) under `epoch` — the epoch the query
-    /// captured with its row snapshot, so an append racing the query
-    /// cannot journal the answer under data it never saw. A journal
-    /// failure is swallowed: the ε was already charged and the store
-    /// poisons itself so later *charges* fail closed — losing a cache
-    /// record costs latency, never privacy.
-    pub(crate) fn cache_insert(
-        &self,
-        dataset: &str,
-        epoch: u64,
-        fp: QueryFingerprint,
-        answer: &PrivateAnswer,
-    ) {
-        let Ok(entry) = self.manager.get(dataset) else {
-            return;
-        };
-        self.cache.insert(fp, answer.clone());
-        let record = to_cache_record(epoch, fp, answer);
-        let _ = entry.journal_cache(&record);
+    /// Captures `dataset`'s rows and epoch under one lock, for one
+    /// call's plans.
+    pub(crate) fn snapshot<'a>(&'a self, dataset: &'a str) -> Result<Snapshot<'a>, GuptError> {
+        let entry = self.manager.get(dataset)?;
+        let (ds, epoch) = entry.dataset_and_epoch();
+        Ok(Snapshot {
+            name: dataset,
+            entry,
+            ds,
+            epoch,
+        })
     }
 
     /// Estimates, without spending any budget, the ε that `spec`'s
-    /// accuracy goal requires on `dataset` (§5.1). Errors if the spec
-    /// carries an explicit ε or the dataset has no aged view.
+    /// accuracy goal requires on `dataset` (§5.1). This is the ε `run`
+    /// would charge: it reads the same plan, so an `Optimized` β is
+    /// first optimized on the aged rows. Errors if the spec carries an
+    /// explicit ε or the dataset has no aged view.
     pub fn estimate_epsilon_for(
         &self,
         dataset: &str,
         spec: &QuerySpec,
     ) -> Result<Epsilon, GuptError> {
-        let entry = self.manager.get(dataset)?;
-        let BudgetSpec::Accuracy(goal) = spec.budget() else {
+        let snap = self.snapshot(dataset)?;
+        let BudgetSpec::Accuracy(_) = spec.budget() else {
             return Err(GuptError::InvalidSpec(
                 "estimate_epsilon_for requires an accuracy-goal budget".into(),
             ));
         };
-        let ds = entry.dataset();
-        let beta = self.resolve_block_size_simple(spec, ds.len());
-        let ranges = planning_ranges(spec)?;
-        self.estimate_for_goal(&ds, spec, &ranges, beta, goal)
-    }
-
-    fn estimate_for_goal(
-        &self,
-        ds: &Dataset,
-        spec: &QuerySpec,
-        ranges: &[OutputRange],
-        block_size: usize,
-        goal: AccuracyGoal,
-    ) -> Result<Epsilon, GuptError> {
-        if !ds.has_aged_data() {
-            return Err(GuptError::NoAgedData("<dataset>".into()));
-        }
-        estimate_epsilon(
-            &self.computation,
-            &spec.program,
-            ds.aged_store(),
-            ranges,
-            block_size,
-            ds.len(),
-            goal,
-        )
-    }
-
-    fn resolve_block_size_simple(&self, spec: &QuerySpec, n: usize) -> usize {
-        match spec.block_size_spec() {
-            BlockSizeSpec::Fixed(b) => b.clamp(1, n.max(1)),
-            _ => default_block_size(n),
-        }
+        Ok(self.plan(&snap, spec, None)?.epsilon)
     }
 
     /// Derives the seed for the next query.
@@ -639,7 +520,13 @@ impl GuptRuntime {
     /// pool splits one sub-seed per block index from it *before* fan-out
     /// (`gupt_sandbox::exec::chamber_seed`), so chamber execution is
     /// bit-identical at any worker count.
-    fn next_query_seed(&self) -> u64 {
+    ///
+    /// Only `execute` draws a seed, right after its charge succeeds (or
+    /// after the batch debit that covers it). A query that fails
+    /// planning, a query the ledger or a quota refuses, and a cache
+    /// replay consume no sequence number, so they never shift the noise
+    /// of the queries after them.
+    pub(crate) fn next_query_seed(&self) -> u64 {
         let seq = self.query_seq.fetch_add(1, Ordering::Relaxed);
         mix64(self.seed ^ mix64(seq))
     }
@@ -650,7 +537,7 @@ impl GuptRuntime {
     /// the shared chamber pool, with the dataset ledger as the only
     /// serialization point.
     pub fn run(&self, dataset: &str, spec: QuerySpec) -> Result<PrivateAnswer, GuptError> {
-        self.run_with_charge(dataset, None, spec, ChargeMode::Charge, None)
+        self.query(dataset, None, &spec, None)
     }
 
     /// Like [`GuptRuntime::run`], attributing the ε debit to a
@@ -663,259 +550,75 @@ impl GuptRuntime {
         principal: &str,
         spec: QuerySpec,
     ) -> Result<PrivateAnswer, GuptError> {
-        self.run_with_charge(dataset, Some(principal), spec, ChargeMode::Charge, None)
+        self.query(dataset, Some(principal), &spec, None)
     }
 
-    /// Like [`GuptRuntime::run`], with an optional execution cap the
-    /// chamber policy falls back to when it carries no budget of its
-    /// own. The query service derives this from the remaining deadline.
-    pub(crate) fn run_capped(
+    /// The one-shot path behind `run`, `run_as` and the query service,
+    /// whose deadline becomes `exec_cap`.
+    ///
+    /// Fingerprintable queries (named program, explicit ε, tight or
+    /// loose range) are looked up before anything else: a hit replays
+    /// the released answer before any β or ε resolution, seed draw or
+    /// charge, so repeats cost no ε and no planning.
+    pub(crate) fn query(
         &self,
         dataset: &str,
         principal: Option<&str>,
-        spec: QuerySpec,
+        spec: &QuerySpec,
         exec_cap: Option<Duration>,
     ) -> Result<PrivateAnswer, GuptError> {
-        self.run_with_charge(dataset, principal, spec, ChargeMode::Charge, exec_cap)
+        let started = Instant::now();
+        let snap = self.snapshot(dataset)?;
+        let fingerprint = QueryFingerprint::compute(dataset, snap.epoch, spec);
+        if let Some(answer) = fingerprint.and_then(|fp| self.cache.lookup(fp)) {
+            return Ok(self.replayed(answer, snap.entry, spec, started));
+        }
+        let mut plan = self.plan(&snap, spec, None)?;
+        plan.principal = principal;
+        plan.exec_cap = exec_cap;
+        plan.fingerprint = fingerprint;
+        self.execute(plan)
     }
 
-    pub(crate) fn run_with_charge(
+    /// Finishes a cache replay: nothing charged, fresh hit-path
+    /// telemetry.
+    fn replayed(
         &self,
-        dataset: &str,
-        principal: Option<&str>,
-        spec: QuerySpec,
-        charge: ChargeMode,
-        exec_cap: Option<Duration>,
-    ) -> Result<PrivateAnswer, GuptError> {
+        mut answer: PrivateAnswer,
+        entry: &DatasetEntry,
+        spec: &QuerySpec,
+        started: Instant,
+    ) -> PrivateAnswer {
         let mut tel = QueryTelemetry::new(spec.telemetry_enabled());
-        let query_start = Instant::now();
-        let entry = self.manager.get(dataset)?;
-        // Snapshot rows + epoch under one lock: the whole query runs
-        // against this capture, so a concurrent append neither perturbs
-        // the block plan nor re-keys the answer we journal below.
-        let (ds, epoch) = entry.dataset_and_epoch();
-        let n = ds.len();
-        if n == 0 {
-            return Err(GuptError::InvalidDataset("private table is empty".into()));
-        }
-        let p = spec.output_dimension();
-        if p == 0 {
-            return Err(GuptError::InvalidSpec(
-                "program declares zero output dimensions".into(),
-            ));
-        }
-        let mode = spec
-            .range_estimation
-            .clone()
-            .ok_or_else(|| GuptError::InvalidSpec("no range-estimation mode chosen".into()))?;
-
-        // --- 0. Answer cache. ------------------------------------------
-        // Fingerprintable queries (named program, explicit ε, tight or
-        // loose range) are looked up before *anything* is spent: a hit
-        // replays the already-released answer — zero ledger debit, no
-        // chamber execution, and no RNG sequence number consumed, so a
-        // seeded workload's k-th executed query draws the same noise
-        // whether earlier queries hit or missed. Precharged (batch)
-        // members skip the lookup: the batch planner already consulted
-        // the cache when it decided what to charge.
-        let fingerprint = if self.cache.is_enabled() {
-            QueryFingerprint::compute(dataset, epoch, &spec)
-        } else {
-            None
-        };
-        if charge == ChargeMode::Charge {
-            if let Some(fp) = fingerprint {
-                if let Some(mut answer) = self.cache.lookup(fp) {
-                    tel.record_ledger(LedgerEvent {
-                        epsilon_requested: answer.epsilon_spent,
-                        epsilon_charged: 0.0,
-                        remaining_budget: entry.ledger().remaining(),
-                    });
-                    tel.record_cache(self.cache.stats());
-                    tel.record_ingest(ingest_telemetry(entry.ingest_stats()));
-                    tel.record_stream(self.stream_counters.snapshot());
-                    answer.telemetry = tel.finish(query_start.elapsed());
-                    return Ok(answer);
-                }
-            }
-        }
-
-        let query_seed = self.next_query_seed();
-        let mut rng = StdRng::seed_from_u64(query_seed);
-
-        // Planning-time (pre-resolution) ranges: tight as given, loose as
-        // given, helper via the translator applied to the loose input
-        // ranges. These drive block-size optimisation and ε estimation.
-        let plan_ranges = planning_ranges(&spec)?;
-        if plan_ranges.len() != p {
-            return Err(GuptError::DimensionMismatch {
-                expected: p,
-                got: plan_ranges.len(),
-            });
-        }
-        let max_width = plan_ranges.iter().map(|r| r.width()).fold(0.0, f64::max);
-
-        // --- 3. Block size. -------------------------------------------
-        // (Resolved before ε so the accuracy-goal estimator can use it.)
-        let stage_start = Instant::now();
-        let provisional_eps = match spec.budget() {
-            BudgetSpec::Epsilon(e) => e,
-            // For optimisation purposes assume ε = 1 when the true ε is
-            // itself derived from the goal; the optimum is insensitive to
-            // this within a small constant factor.
-            BudgetSpec::Accuracy(_) => Epsilon::new(1.0).expect("valid"),
-        };
-        let block_size = match spec.block_size_spec() {
-            BlockSizeSpec::Default => default_block_size(n),
-            BlockSizeSpec::Fixed(b) => {
-                if b == 0 {
-                    return Err(GuptError::InvalidSpec("block size must be ≥ 1".into()));
-                }
-                b.clamp(1, n)
-            }
-            BlockSizeSpec::Optimized => {
-                if !ds.has_aged_data() {
-                    return Err(GuptError::NoAgedData(dataset.to_string()));
-                }
-                let eps_per_dim = provisional_eps.split(p).map_err(GuptError::Dp)?;
-                crate::block_size::optimal_block_size(
-                    &self.computation,
-                    &spec.program,
-                    ds.aged_store(),
-                    n,
-                    max_width,
-                    eps_per_dim,
-                )?
-                .block_size
-                .clamp(1, n)
-            }
-        };
-
-        // Block-size resolution is the first half of block planning; the
-        // partition/materialize half runs after the ledger charge, and
-        // both segments report as one `BlockPlanning` stage.
-        let planning_head = stage_start.elapsed();
-
-        // --- 1. Budget resolution. -------------------------------------
-        let stage_start = Instant::now();
-        let eps_total = match spec.budget() {
-            BudgetSpec::Epsilon(e) => e,
-            BudgetSpec::Accuracy(goal) => {
-                self.estimate_for_goal(&ds, &spec, &plan_ranges, block_size, goal)?
-            }
-        };
-        tel.record_stage(Stage::BudgetResolution, stage_start.elapsed());
-
-        // --- 2. Ledger charge (fail closed, before touching data). -----
-        // An atomic check-and-debit: under concurrent queries the ledger
-        // admits charges in some serial order and never overspends.
-        let stage_start = Instant::now();
-        if charge == ChargeMode::Charge {
-            // Durable datasets write the debit ahead to the WAL here,
-            // before any private row is read. A principal-attributed
-            // charge also passes its quota gate first, or fails closed.
-            entry.charge_as(principal, eps_total)?;
-        }
-        tel.record_stage(Stage::LedgerCharge, stage_start.elapsed());
         tel.record_ledger(LedgerEvent {
-            epsilon_requested: eps_total.value(),
-            epsilon_charged: eps_total.value(),
+            epsilon_requested: answer.epsilon_spent,
+            epsilon_charged: 0.0,
             remaining_budget: entry.ledger().remaining(),
         });
+        answer.telemetry = self.finish_telemetry(tel, entry, started.elapsed());
+        answer
+    }
 
-        // --- 4. Partition + chambered execution. -----------------------
-        // User-level privacy (§8.1): group-atomic partitioning when the
-        // owner declared a group column.
-        let stage_start = Instant::now();
-        let plan = match ds.groups() {
-            Some(groups) => partition_grouped(&groups, block_size, spec.gamma(), &mut rng),
-            None => partition(n, block_size, spec.gamma(), &mut rng),
-        };
-        // Zero-copy block prep: views share the query's captured row
-        // store (the registered rows plus any deltas appended before the
-        // capture), so the only bytes "materialised" here are the plan's
-        // index lists — O(total indices), independent of γ·row-bytes.
-        let views = plan.views(ds.store());
-        tel.record_block_prep(views.len(), plan.index_bytes());
-        tel.record_stage(Stage::BlockPlanning, planning_head + stage_start.elapsed());
-
-        let stage_start = Instant::now();
-        let (reports, trace) = self.computation.execute_blocks_planned(
-            &spec.program,
-            views,
-            exec_cap,
-            spec.execution.as_ref(),
-            Some(query_seed),
-        );
-        tel.record_stage(Stage::ChamberExecution, stage_start.elapsed());
-        let execution = ExecutionSummary::from_reports(&reports);
-        tel.record_blocks(&execution, &trace);
-        let outputs: Vec<Vec<f64>> = reports.into_iter().map(|r| r.output).collect();
-
-        // --- 5. Range resolution with the Theorem 1 split. -------------
-        let stage_start = Instant::now();
-        let (ranges, eps_per_dim) = match &mode {
-            RangeEstimation::Tight(tight) => {
-                let ranges = resolve_tight(tight, p)?;
-                (ranges, eps_total.split(p).map_err(GuptError::Dp)?)
-            }
-            RangeEstimation::Loose(loose) => {
-                // ε/(2p) per output dimension for percentile estimation,
-                // ε/(2p) per dimension for aggregation.
-                let eps_est = eps_total.halve().split(p).map_err(GuptError::Dp)?;
-                let ranges = resolve_loose(&outputs, loose, p, eps_est, &mut rng)?;
-                (ranges, eps_total.halve().split(p).map_err(GuptError::Dp)?)
-            }
-            RangeEstimation::Helper {
-                input_ranges,
-                translate,
-            } => {
-                let k = ds.dimension();
-                let eps_est = eps_total.halve().split(k).map_err(GuptError::Dp)?;
-                let ranges =
-                    resolve_helper(ds.store(), input_ranges, translate, k, p, eps_est, &mut rng)?;
-                (ranges, eps_total.halve().split(p).map_err(GuptError::Dp)?)
-            }
-        };
-        tel.record_stage(Stage::RangeResolution, stage_start.elapsed());
-
-        // --- 6. Clamp, aggregate, noise. --------------------------------
-        let stage_start = Instant::now();
-        if tel.is_enabled() {
-            tel.record_clamp_hits(clamp_hits(&outputs, &ranges));
+    /// Seals a query's telemetry with the runtime-wide counters every
+    /// report carries.
+    pub(crate) fn finish_telemetry(
+        &self,
+        mut tel: QueryTelemetry,
+        entry: &DatasetEntry,
+        total: Duration,
+    ) -> Option<TelemetryReport> {
+        if !tel.is_enabled() {
+            return None;
         }
-        let values = aggregate(
-            spec.aggregation_strategy(),
-            &outputs,
-            &ranges,
-            plan.gamma(),
-            eps_per_dim,
-            &mut rng,
-        )?;
-        tel.record_stage(Stage::Aggregation, stage_start.elapsed());
-
-        let mut answer = PrivateAnswer {
-            values,
-            epsilon_spent: eps_total.value(),
-            block_size,
-            num_blocks: plan.num_blocks(),
-            gamma: plan.gamma(),
-            ranges,
-            execution,
-            telemetry: None,
-        };
-
-        // A fingerprintable miss journals its released answer so the
-        // next identical query replays free — and, on a durable dataset,
-        // so a restarted process recovers the warm cache from the WAL.
-        if let Some(fp) = fingerprint {
-            self.cache_insert(dataset, epoch, fp, &answer);
-        }
+        let ingest = entry.ingest_stats();
         tel.record_cache(self.cache.stats());
-        tel.record_ingest(ingest_telemetry(entry.ingest_stats()));
+        tel.record_ingest(IngestTelemetry {
+            appends: ingest.appends,
+            rows_appended: ingest.rows_appended,
+            bytes_materialized: ingest.bytes_materialized,
+        });
         tel.record_stream(self.stream_counters.snapshot());
-        answer.telemetry = tel.finish(query_start.elapsed());
-        Ok(answer)
+        tel.finish(total)
     }
 
     // --- Streaming windowed analytics (continuous queries). ------------
@@ -1033,9 +736,9 @@ impl GuptRuntime {
     ///
     /// `Ok(None)` means the window is still open — not enough rows (or
     /// arrivals) yet; poll again after more ingest. A closed window runs
-    /// the ordinary pipeline over exactly its row range: ledger charge
-    /// (WAL-journaled, principal-attributed) → `partition_range` block
-    /// plan → chambered execution → range resolution → Algorithm 1
+    /// the ordinary pipeline over a range partition of exactly its rows:
+    /// ledger charge (WAL-journaled, principal-attributed) → block plan
+    /// → chambered execution → range resolution → Algorithm 1
     /// aggregation. The answer is cached under a *content hash of the
     /// window's rows*, so polling the same closed window again — from a
     /// second subscription or after a crash-recovery — replays at zero
@@ -1047,7 +750,7 @@ impl GuptRuntime {
     /// poll (budget exhaustion, quota refusal) leaves the cursor in
     /// place so the window can be retried.
     pub fn poll_window(&self, query: &ContinuousQuery) -> Result<Option<WindowResult>, GuptError> {
-        let sub_arc = self
+        let sub = self
             .subscriptions
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -1059,187 +762,79 @@ impl GuptRuntime {
         // Hold the subscription lock across the whole evaluation: the
         // cursor advances exactly once per closed window, so concurrent
         // polls of one handle can never double-charge a window.
-        let mut sub = sub_arc.lock().unwrap_or_else(|p| p.into_inner());
-        let query_start = Instant::now();
-        let entry = self.manager.get(&sub.dataset)?;
-        let w = sub.cursor;
-        let (u0, u1) = sub.window.unit_bounds(w);
+        let mut guard = sub.lock().unwrap_or_else(|p| p.into_inner());
+        let Subscription {
+            dataset,
+            window,
+            spec,
+            principal,
+            cursor,
+        } = &mut *guard;
+        let started = Instant::now();
+        let entry = self.manager.get(dataset)?;
+        let w = *cursor;
+        let (u0, u1) = window.unit_bounds(w);
 
         // Resolve the window's row bounds, then snapshot the dataset.
         // Arrival bounds come from the arrival log *first*: any arrival
         // the log already records committed its rows under the dataset
         // write lock, so the snapshot below is guaranteed to contain
         // them.
-        let bounds = match sub.window.key() {
+        let bounds = match window.key() {
             WindowKey::RowCount => Some((u0 as usize, u1 as usize)),
             WindowKey::Arrival => entry.arrival_row_range(u0 as usize, u1 as usize),
         };
         let Some((start, end)) = bounds else {
             return Ok(None);
         };
-        let (ds, _live_epoch) = entry.dataset_and_epoch();
-        if end > ds.len() {
+        let snap = self.snapshot(dataset)?;
+        if end > snap.ds.len() {
             return Ok(None); // row-count window still open
         }
-
-        let mut tel = QueryTelemetry::new(sub.spec.telemetry_enabled());
-        let BudgetSpec::Epsilon(eps) = sub.spec.budget() else {
-            return Err(GuptError::InvalidSpec(
-                "continuous queries carry an explicit ε".into(),
-            ));
-        };
 
         // Window answers are keyed by the window's content hash, not the
         // live dataset epoch — later appends move the epoch but not the
         // window's rows, so a closed window stays replayable forever.
-        let whash = window_epoch(ds.store(), start, end);
-        let fingerprint = if self.cache.is_enabled() {
-            QueryFingerprint::compute_with_epsilon(&sub.dataset, whash, &sub.spec, eps)
+        let whash = window_epoch(snap.ds.store(), start, end);
+        let fingerprint = QueryFingerprint::compute(dataset, whash, spec);
+        let hit = fingerprint.and_then(|fp| self.cache.lookup(fp));
+        let replayed = hit.is_some();
+        let mut answer = match hit {
+            Some(answer) => answer,
+            None => {
+                let mut plan = self.plan(&snap, spec, Some((start, end)))?;
+                plan.principal = principal.as_deref();
+                plan.fingerprint = fingerprint;
+                // Recovery re-admits window answers unconditionally: the
+                // fingerprint, which hashes the window content, carries
+                // their validity.
+                plan.journal_epoch = STREAM_CACHE_EPOCH;
+                self.execute(plan)?
+            }
+        };
+        let counters = &self.stream_counters;
+        if replayed {
+            counters.windows_replayed.fetch_add(1, Ordering::Relaxed);
         } else {
-            None
-        };
-        if let Some(fp) = fingerprint {
-            if let Some(mut answer) = self.cache.lookup(fp) {
-                self.stream_counters
-                    .windows_replayed
-                    .fetch_add(1, Ordering::Relaxed);
-                let rows_aged = self.stream_age(entry, &sub.window, w)?;
-                sub.cursor = w + 1;
-                tel.record_ledger(LedgerEvent {
-                    epsilon_requested: answer.epsilon_spent,
-                    epsilon_charged: 0.0,
-                    remaining_budget: entry.ledger().remaining(),
-                });
-                tel.record_cache(self.cache.stats());
-                tel.record_ingest(ingest_telemetry(entry.ingest_stats()));
-                tel.record_stream(self.stream_counters.snapshot());
-                // Replay spends nothing: the field reports *this* poll's
-                // debit, not the original window's.
-                answer.epsilon_spent = 0.0;
-                answer.telemetry = tel.finish(query_start.elapsed());
-                return Ok(Some(WindowResult {
-                    window: w,
-                    start_row: start,
-                    end_row: end,
-                    replayed: true,
-                    rows_aged,
-                    answer,
-                }));
-            }
+            counters.windows_closed.fetch_add(1, Ordering::Relaxed);
+            counters.add_epsilon(answer.epsilon_spent);
         }
-
-        let mode = sub
-            .spec
-            .range_estimation
-            .clone()
-            .ok_or_else(|| GuptError::InvalidSpec("no range-estimation mode chosen".into()))?;
-        let p = sub.spec.output_dimension();
-        let stage_start = Instant::now();
-        tel.record_stage(Stage::BudgetResolution, stage_start.elapsed());
-
-        // Fail closed before touching window rows, exactly like a
-        // one-shot query: WAL append happens inside the charge.
-        let stage_start = Instant::now();
-        entry.charge_as(sub.principal.as_deref(), eps)?;
-        tel.record_stage(Stage::LedgerCharge, stage_start.elapsed());
-        tel.record_ledger(LedgerEvent {
-            epsilon_requested: eps.value(),
-            epsilon_charged: eps.value(),
-            remaining_budget: entry.ledger().remaining(),
-        });
-
-        let query_seed = self.next_query_seed();
-        let mut rng = StdRng::seed_from_u64(query_seed);
-
-        let stage_start = Instant::now();
-        let wlen = end - start;
-        let block_size = match sub.spec.block_size_spec() {
-            BlockSizeSpec::Fixed(b) => b.clamp(1, wlen),
-            _ => default_block_size(wlen),
-        };
-        let plan = partition_range(start, end, block_size, sub.spec.gamma(), &mut rng);
-        let views = plan.views(ds.store());
-        tel.record_block_prep(views.len(), plan.index_bytes());
-        tel.record_stage(Stage::BlockPlanning, stage_start.elapsed());
-
-        let stage_start = Instant::now();
-        let (reports, trace) = self.computation.execute_blocks_planned(
-            &sub.spec.program,
-            views,
-            None,
-            sub.spec.execution.as_ref(),
-            Some(query_seed),
-        );
-        tel.record_stage(Stage::ChamberExecution, stage_start.elapsed());
-        let execution = ExecutionSummary::from_reports(&reports);
-        tel.record_blocks(&execution, &trace);
-        let outputs: Vec<Vec<f64>> = reports.into_iter().map(|r| r.output).collect();
-
-        let stage_start = Instant::now();
-        let (ranges, eps_per_dim) = match &mode {
-            RangeEstimation::Tight(tight) => {
-                let ranges = resolve_tight(tight, p)?;
-                (ranges, eps.split(p).map_err(GuptError::Dp)?)
-            }
-            RangeEstimation::Loose(loose) => {
-                let eps_est = eps.halve().split(p).map_err(GuptError::Dp)?;
-                let ranges = resolve_loose(&outputs, loose, p, eps_est, &mut rng)?;
-                (ranges, eps.halve().split(p).map_err(GuptError::Dp)?)
-            }
-            RangeEstimation::Helper { .. } => {
-                return Err(GuptError::InvalidSpec(
-                    "helper range estimation is not supported for continuous queries".into(),
-                ));
-            }
-        };
-        tel.record_stage(Stage::RangeResolution, stage_start.elapsed());
-
-        let stage_start = Instant::now();
-        if tel.is_enabled() {
-            tel.record_clamp_hits(clamp_hits(&outputs, &ranges));
+        let rows_aged = self.stream_age(entry, window, w)?;
+        *cursor = w + 1;
+        if replayed {
+            // Replay spends nothing: the field reports *this* poll's
+            // debit, not the original window's.
+            answer = self.replayed(answer, entry, spec, started);
+            answer.epsilon_spent = 0.0;
+        } else if let Some(report) = answer.telemetry.as_mut() {
+            // `execute` sealed the report before this window was counted.
+            report.stream = counters.snapshot();
         }
-        let values = aggregate(
-            sub.spec.aggregation_strategy(),
-            &outputs,
-            &ranges,
-            plan.gamma(),
-            eps_per_dim,
-            &mut rng,
-        )?;
-        tel.record_stage(Stage::Aggregation, stage_start.elapsed());
-
-        let mut answer = PrivateAnswer {
-            values,
-            epsilon_spent: eps.value(),
-            block_size,
-            num_blocks: plan.num_blocks(),
-            gamma: plan.gamma(),
-            ranges,
-            execution,
-            telemetry: None,
-        };
-
-        // Journal under the sentinel epoch: recovery re-admits window
-        // answers unconditionally because the fingerprint (which hashes
-        // the window content) carries their validity.
-        if let Some(fp) = fingerprint {
-            self.cache_insert(&sub.dataset, STREAM_CACHE_EPOCH, fp, &answer);
-        }
-        self.stream_counters
-            .windows_closed
-            .fetch_add(1, Ordering::Relaxed);
-        self.stream_counters.add_epsilon(eps.value());
-        let rows_aged = self.stream_age(entry, &sub.window, w)?;
-        sub.cursor = w + 1;
-        tel.record_cache(self.cache.stats());
-        tel.record_ingest(ingest_telemetry(entry.ingest_stats()));
-        tel.record_stream(self.stream_counters.snapshot());
-        answer.telemetry = tel.finish(query_start.elapsed());
         Ok(Some(WindowResult {
             window: w,
             start_row: start,
             end_row: end,
-            replayed: false,
+            replayed,
             rows_aged,
             answer,
         }))
@@ -1275,19 +870,15 @@ impl GuptRuntime {
     }
 }
 
-/// Subscription-time validation — see [`GuptRuntime::subscribe`] for the
-/// rationale behind each rule.
+/// Subscription-time validation: the checks every plan makes, plus the
+/// replayability rules — see [`GuptRuntime::subscribe`] for the
+/// rationale behind each.
 fn validate_subscription(
     entry: &DatasetEntry,
     spec: &QuerySpec,
     principal: Option<&str>,
 ) -> Result<(), GuptError> {
-    let p = spec.output_dimension();
-    if p == 0 {
-        return Err(GuptError::InvalidSpec(
-            "program declares zero output dimensions".into(),
-        ));
-    }
+    planning_ranges(spec)?;
     if spec.identity.is_none() {
         return Err(GuptError::InvalidSpec(
             "continuous queries need a program identity (QuerySpec::builder().identity(..)) \
@@ -1302,22 +893,10 @@ fn validate_subscription(
                 .into(),
         ));
     };
-    let Some(mode) = spec.range_estimation.as_ref() else {
-        return Err(GuptError::InvalidSpec(
-            "no range-estimation mode chosen".into(),
-        ));
-    };
-    if matches!(mode, RangeEstimation::Helper { .. }) {
+    if matches!(spec.range_estimation, Some(RangeEstimation::Helper { .. })) {
         return Err(GuptError::InvalidSpec(
             "helper range estimation is not supported for continuous queries".into(),
         ));
-    }
-    let ranges = planning_ranges(spec)?;
-    if ranges.len() != p {
-        return Err(GuptError::DimensionMismatch {
-            expected: p,
-            got: ranges.len(),
-        });
     }
     if matches!(spec.block_size_spec(), BlockSizeSpec::Optimized) {
         return Err(GuptError::InvalidSpec(
@@ -1389,42 +968,10 @@ impl DatasetHandle<'_> {
     }
 }
 
-/// Per-dimension count of block outputs outside the resolved range —
-/// exactly the values Algorithm 1's clamp would move. Telemetry only;
-/// never feeds the DP aggregate.
-fn clamp_hits(outputs: &[Vec<f64>], ranges: &[OutputRange]) -> Vec<usize> {
-    ranges
-        .iter()
-        .enumerate()
-        .map(|(d, r)| {
-            outputs
-                .iter()
-                .filter(|o| o.get(d).is_some_and(|&v| !r.contains(v)))
-                .count()
-        })
-        .collect()
-}
-
-/// Ranges available at planning time, before any data-dependent
-/// resolution: tight and loose ranges verbatim; helper ranges by
-/// translating the analyst's loose input ranges.
-pub(crate) fn planning_ranges(spec: &QuerySpec) -> Result<Vec<OutputRange>, GuptError> {
-    let mode = spec
-        .range_estimation
-        .as_ref()
-        .ok_or_else(|| GuptError::InvalidSpec("no range-estimation mode chosen".into()))?;
-    Ok(match mode {
-        RangeEstimation::Tight(r) | RangeEstimation::Loose(r) => r.clone(),
-        RangeEstimation::Helper {
-            input_ranges,
-            translate,
-        } => translate(input_ranges),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget_estimator::AccuracyGoal;
     use std::sync::Arc;
 
     fn eps(v: f64) -> Epsilon {
@@ -1602,6 +1149,44 @@ mod tests {
             "{:?}",
             ans.values
         );
+    }
+
+    #[test]
+    fn optimized_accuracy_goal_estimates_agree_with_the_charge() {
+        let ds = Dataset::new(age_rows(10_000))
+            .unwrap()
+            .with_aged_fraction(0.1)
+            .unwrap();
+        let rt = GuptRuntimeBuilder::new()
+            .register("ages", ds, eps(100.0))
+            .unwrap()
+            .seed(7)
+            .build();
+        let spec = mean_spec()
+            .accuracy_goal(AccuracyGoal::new(0.9, 0.9).unwrap())
+            .optimized_block_size()
+            .range_estimation(RangeEstimation::Tight(vec![range(0.0, 150.0)]));
+        let estimated = rt.estimate_epsilon_for("ages", &spec).unwrap();
+        let (plan, _) = rt.explain("ages", &spec).unwrap();
+        let ans = rt.run("ages", spec).unwrap();
+        assert_eq!(estimated.value().to_bits(), ans.epsilon_spent.to_bits());
+        assert_eq!(plan.epsilon.to_bits(), ans.epsilon_spent.to_bits());
+        assert_eq!(plan.block_size, ans.block_size);
+    }
+
+    #[test]
+    fn refused_query_keeps_its_sequence_number() {
+        let spec = |e: f64| {
+            mean_spec()
+                .epsilon(eps(e))
+                .range_estimation(RangeEstimation::Loose(vec![range(0.0, 1000.0)]))
+        };
+        let refused_first = runtime(1000, 1.0);
+        assert!(refused_first.run("ages", spec(5.0)).is_err());
+        let after_refusal = refused_first.run("ages", spec(0.5)).unwrap();
+        let fresh = runtime(1000, 1.0).run("ages", spec(0.5)).unwrap();
+        let bits = |a: &PrivateAnswer| a.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&after_refusal), bits(&fresh));
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl QueryService {
         });
         self.inner
             .runtime
-            .run_capped(dataset, principal, self.cap_execution(spec), exec_cap)
+            .query(dataset, principal, &self.cap_execution(spec), exec_cap)
     }
 
     /// Runs a §5.2 budget-distributed batch as **one** admission unit:

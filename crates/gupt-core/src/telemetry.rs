@@ -564,24 +564,18 @@ pub struct QueryTelemetry {
 impl QueryTelemetry {
     /// A collector that records.
     pub fn enabled() -> Self {
-        QueryTelemetry {
-            enabled: true,
-            stage_totals: [Duration::ZERO; 6],
-            stage_seen: [false; 6],
-            blocks: BlockCounters::default(),
-            clamp_hits: Vec::new(),
-            ledger: LedgerEvent::default(),
-            cache: CacheStats::default(),
-            parallel: ParallelTelemetry::default(),
-            ingest: IngestTelemetry::default(),
-            stream: StreamTelemetry::default(),
-        }
+        QueryTelemetry::new(true)
     }
 
     /// A collector that drops everything.
     pub fn disabled() -> Self {
+        QueryTelemetry::new(false)
+    }
+
+    /// Builds a collector from a flag.
+    pub fn new(collect: bool) -> Self {
         QueryTelemetry {
-            enabled: false,
+            enabled: collect,
             stage_totals: [Duration::ZERO; 6],
             stage_seen: [false; 6],
             blocks: BlockCounters::default(),
@@ -591,15 +585,6 @@ impl QueryTelemetry {
             parallel: ParallelTelemetry::default(),
             ingest: IngestTelemetry::default(),
             stream: StreamTelemetry::default(),
-        }
-    }
-
-    /// Builds a collector from a flag.
-    pub fn new(collect: bool) -> Self {
-        if collect {
-            QueryTelemetry::enabled()
-        } else {
-            QueryTelemetry::disabled()
         }
     }
 

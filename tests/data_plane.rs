@@ -14,7 +14,7 @@
 //!    views, so the privacy amplification argument (§4.2, average
 //!    sensitivity γ·s/ℓ) carries over to the zero-copy plane unchanged.
 
-use gupt::core::{partition, BlockPlan, GuptRuntimeBuilder, QuerySpec, RangeEstimation};
+use gupt::core::{partition_range, BlockPlan, GuptRuntimeBuilder, QuerySpec, RangeEstimation};
 use gupt::dp::{Epsilon, OutputRange};
 use gupt::sandbox::{BlockView, RowStore};
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ fn rows(n: usize) -> Vec<Vec<f64>> {
 
 fn plan_for(n: usize, beta: usize, gamma: usize, seed: u64) -> BlockPlan {
     let mut rng = StdRng::seed_from_u64(seed);
-    partition(n, beta, gamma, &mut rng)
+    partition_range(0, n, beta, gamma, &mut rng)
 }
 
 /// The mean-of-column-0 body, shared between the view-native and the

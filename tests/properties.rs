@@ -2,7 +2,7 @@
 //! budget accounting, clamping, partitioning, percentile domains, and
 //! the end-to-end range guarantee of the aggregate.
 
-use gupt::core::{partition, partition_grouped, sample_and_aggregate};
+use gupt::core::{partition_grouped, partition_range, sample_and_aggregate};
 use gupt::dp::{
     dp_percentile, laplace_mechanism, Accountant, Epsilon, Laplace, OutputRange, Percentile,
     Sensitivity,
@@ -63,7 +63,7 @@ proptest! {
         n in 1usize..400, beta in 1usize..100, gamma in 1usize..5, seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = partition(n, beta, gamma, &mut rng);
+        let plan = partition_range(0, n, beta, gamma, &mut rng);
         let mut counts = vec![0usize; n];
         for block in plan.blocks() {
             // No duplicates within a block.
