@@ -1,12 +1,12 @@
 //! Command dispatch and implementations.
 
 use crate::args::Args;
-use crate::ledger::FileLedger;
 use crate::programs;
-use gupt_core::storage;
+use gupt_core::storage::{self, LedgerStore, RecoveredLedger, Snapshot};
 use gupt_core::{
     AccuracyGoal, Aggregator, Dataset, Durability, ExecutionPolicy, FsyncPolicy, GuptError,
-    GuptRuntimeBuilder, QueryService, QuerySpec, RangeEstimation, ServiceConfig, StorageConfig,
+    GuptRuntime, GuptRuntimeBuilder, QueryService, QuerySpec, RangeEstimation, ServiceConfig,
+    StorageConfig,
 };
 use gupt_datasets::census::CensusDataset;
 use gupt_datasets::csv;
@@ -18,6 +18,12 @@ use std::num::NonZeroUsize;
 
 /// Top-level error type: boxed because every subsystem has its own.
 pub type CliError = Box<dyn std::error::Error>;
+
+/// The dataset name one-shot queries register under, and so the stem of
+/// the single budget a `--ledger` directory holds — whatever the CSV
+/// file or the SQL `FROM` name. It is also `serve`'s default dataset, so
+/// `recover --dataset data` reads a `--ledger` directory.
+const LEDGER_DATASET: &str = "data";
 
 /// Dispatches a parsed command line, returning the text to print.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
@@ -50,11 +56,13 @@ fn usage() -> String {
 
 USAGE:
   gupt-cli generate <census|ads|life-sciences> --out FILE.csv [--rows N] [--seed S]
-  gupt-cli ledger init --ledger FILE --budget EPS
-  gupt-cli ledger show --ledger FILE
+  gupt-cli ledger init --ledger DIR --budget EPS
+  gupt-cli ledger show --ledger DIR
+                 (DIR is a one-dataset state directory in the serve
+                  --state-dir format; one process at a time may write it)
   gupt-cli query --data FILE.csv --program SPEC --range LO,HI
                  (--epsilon EPS | --accuracy RHO --confidence P --aged-fraction F)
-                 [--ledger FILE] [--block-size B] [--gamma G] [--seed S]
+                 [--ledger DIR] [--block-size B] [--gamma G] [--seed S]
                  [--threads T]          (chamber workers; 0 = one per core)
                  [--header yes] [--range-mode tight|loose] [--aggregator mean|median]
                  [--group-column N]     (user-level privacy, §8.1)
@@ -64,7 +72,7 @@ USAGE:
   gupt-cli query --data FILE.csv --sql \"STATEMENT\"
                  [--range LO,HI | --ranges LO,HI;LO,HI;...]
                  [--epsilon EPS] [--min-count C] [--block-size B]
-                 [--ledger FILE] [--seed S] [--header yes]
+                 [--ledger DIR] [--seed S] [--header yes]
                  (DP-SQL: SELECT agg(cN)[, ...] FROM name [WHERE ...]
                   [GROUP BY cN[, ...]] [WITH EPSILON e]; columns are cN by
                   CSV position, --ranges gives per-column value bounds and
@@ -190,29 +198,148 @@ fn generate(which: &str, args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// Reads the `--data` CSV (with `--header yes` skipping its first
+/// line), refusing an empty table.
+fn read_data(args: &Args) -> Result<Vec<Vec<f64>>, CliError> {
+    let has_header = matches!(args.get("header"), Some("yes" | "true" | "1"));
+    let rows = csv::read_csv(args.require("data")?, has_header)?;
+    if rows.is_empty() {
+        return Err("dataset is empty".into());
+    }
+    Ok(rows)
+}
+
+/// A one-shot query's `--seed`, defaulting to the wall clock.
+fn query_seed(args: &Args) -> Result<u64, CliError> {
+    Ok(args.get_parsed("seed", "integer")?.unwrap_or_else(|| {
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0)
+    }))
+}
+
 fn ledger_cmd(sub: &str, args: &Args) -> Result<String, CliError> {
     let path = args.require("ledger")?;
     match sub {
         "init" => {
             let budget: f64 = args.require_parsed("budget", "positive number")?;
-            let ledger = FileLedger::init(path, Epsilon::new(budget)?)?;
+            let total = Epsilon::new(budget)?;
+            // Open takes the writer lock, so no query can charge the
+            // ledger before its budget is written.
+            let (store, books) = LedgerStore::open(LEDGER_DATASET, &ledger_config(path)?)
+                .map_err(render_runtime_error)?;
+            if books.had_snapshot || books.wal_records > 0 {
+                return Err(format!("ledger {path} already exists").into());
+            }
+            store
+                .write_snapshot(&Snapshot {
+                    total: total.value(),
+                    spent: 0.0,
+                    queries: 0,
+                    principals: Default::default(),
+                })
+                .map_err(render_runtime_error)?;
             Ok(format!(
                 "initialised {path} with lifetime budget ε = {}\n",
-                ledger.total()
+                total.value()
             ))
         }
         "show" => {
-            let ledger = FileLedger::open(path)?;
+            let books = ledger_books(path)?;
             Ok(format!(
                 "ledger {path}\n  total     ε = {}\n  spent     ε = {}\n  remaining ε = {}\n  queries     = {}\n",
-                ledger.total(),
-                ledger.spent(),
-                ledger.remaining(),
-                ledger.queries()
+                books.total,
+                books.spent,
+                (books.total - books.spent).max(0.0),
+                books.queries
             ))
         }
         other => Err(format!("unknown ledger subcommand {other:?} (init|show)").into()),
     }
+}
+
+/// The storage config of the `--ledger` directory at `path`. A ledger
+/// run makes one charge and exits, so every record is synced.
+///
+/// Refuses a regular file: ledgers written before the WAL format were
+/// key=value files, and they are not read.
+fn ledger_config(path: &str) -> Result<StorageConfig, CliError> {
+    if std::path::Path::new(path).is_file() {
+        return Err(format!(
+            "{path} is a file, but the ledger format changed: --ledger now names a state \
+             directory and old key=value ledgers are not read; \
+             `gupt-cli ledger init --ledger DIR --budget EPS` creates a new ledger"
+        )
+        .into());
+    }
+    Ok(StorageConfig::new(path).fsync(FsyncPolicy::Always))
+}
+
+/// Reads the books of the `--ledger` directory at `path` without taking
+/// its lock, so it works while another process charges the ledger.
+/// Fails closed, creating nothing, unless `ledger init` made `path`.
+fn ledger_books(path: &str) -> Result<RecoveredLedger, CliError> {
+    let books =
+        storage::recover(LEDGER_DATASET, &ledger_config(path)?).map_err(render_runtime_error)?;
+    if !books.had_snapshot {
+        return Err(format!(
+            "no ledger at {path}; `gupt-cli ledger init --ledger {path} --budget EPS` creates one"
+        )
+        .into());
+    }
+    Ok(books)
+}
+
+/// Builds the runtime a one-shot query runs on, holding `dataset` as
+/// [`LEDGER_DATASET`].
+///
+/// With a `--ledger` directory the registration is durable at the
+/// ledger's initialised total, so the runtime's own ledger is the
+/// persistent one: the query's single charge is the WAL debit that
+/// `execute()` makes. Without one, the ephemeral ledger holds just `eps`.
+fn query_runtime(
+    ledger: Option<&str>,
+    dataset: Dataset,
+    eps: Epsilon,
+    seed: u64,
+    threads: Option<usize>,
+) -> Result<GuptRuntime, CliError> {
+    let mut builder = GuptRuntimeBuilder::new().seed(seed);
+    if let Some(t) = threads {
+        builder = builder.execution(threads_policy(t));
+    }
+    let registration = match ledger {
+        None => dataset.builder().budget(eps),
+        Some(path) => {
+            let total = Epsilon::new(ledger_books(path)?.total)?;
+            // Each run charges once: a journaled answer would let a later
+            // run replay it for free, so the cache stays off.
+            builder = builder.cache_capacity(0);
+            dataset
+                .builder()
+                .budget(total)
+                .durability(Durability::Durable(ledger_config(path)?))
+        }
+    };
+    Ok(builder
+        .dataset(LEDGER_DATASET, registration)
+        .map_err(render_runtime_error)?
+        .build())
+}
+
+/// The closing `ledger` line of a one-shot query's output.
+fn ledger_line(ledger: Option<&str>, runtime: &GuptRuntime) -> Result<String, CliError> {
+    Ok(match ledger {
+        Some(path) => {
+            let books = runtime.ledger_state(LEDGER_DATASET)?;
+            format!(
+                "ledger      : {path} (remaining ε = {:.6}, queries = {})\n",
+                books.remaining, books.queries
+            )
+        }
+        None => "ledger      : none — budget NOT persisted across invocations\n".to_string(),
+    })
 }
 
 fn query(args: &Args) -> Result<String, CliError> {
@@ -220,12 +347,7 @@ fn query(args: &Args) -> Result<String, CliError> {
     if args.get("sql").is_some() {
         return query_sql(args);
     }
-    let data_path = args.require("data")?;
-    let has_header = matches!(args.get("header"), Some("yes" | "true" | "1"));
-    let rows = csv::read_csv(data_path, has_header)?;
-    if rows.is_empty() {
-        return Err("dataset is empty".into());
-    }
+    let rows = read_data(args)?;
 
     let spec_str = args.require("program")?;
     let resolved = programs::resolve(spec_str)?;
@@ -253,12 +375,7 @@ fn query(args: &Args) -> Result<String, CliError> {
         )
     };
 
-    let seed: u64 = args.get_parsed("seed", "integer")?.unwrap_or_else(|| {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0)
-    });
+    let seed = query_seed(args)?;
     let gamma: usize = args.get_parsed("gamma", "integer")?.unwrap_or(1);
     let threads: Option<usize> = args.get_parsed("threads", "integer")?;
     let block_size: Option<NonZeroUsize> = args.get_parsed("block-size", "positive integer")?;
@@ -312,18 +429,6 @@ fn query(args: &Args) -> Result<String, CliError> {
     }
     let spec = spec.build()?;
 
-    // Ephemeral runtime: the *persistent* accounting is the file ledger;
-    // the in-process ledger only carries this one query's budget.
-    let build_runtime = |budget: Epsilon, ds: Dataset| -> Result<_, CliError> {
-        let mut builder = GuptRuntimeBuilder::new()
-            .dataset("data", ds.builder().budget(budget))?
-            .seed(seed);
-        if let Some(t) = threads {
-            builder = builder.execution(threads_policy(t));
-        }
-        Ok(builder.build())
-    };
-
     let eps = match (epsilon_flag, accuracy) {
         (Some(e), None) => Epsilon::new(e)?,
         (None, Some(rho)) => {
@@ -336,39 +441,23 @@ fn query(args: &Args) -> Result<String, CliError> {
                 );
             }
             let goal = AccuracyGoal::new(rho, confidence)?.with_laplace_tail();
-            let probe = build_runtime(Epsilon::new(1e9)?, dataset.clone())?;
-            probe.estimate_epsilon_for("data", &spec.clone().accuracy_goal(goal))?
+            let probe = query_runtime(None, dataset.clone(), Epsilon::new(1e9)?, seed, threads)?;
+            probe.estimate_epsilon_for(LEDGER_DATASET, &spec.clone().accuracy_goal(goal))?
         }
         (Some(_), Some(_)) => return Err("--epsilon and --accuracy are mutually exclusive".into()),
         (None, None) => return Err("one of --epsilon or --accuracy is required".into()),
     };
 
-    // Charge the persistent ledger first (fail closed).
-    let ledger_state = match args.get("ledger") {
-        Some(path) => {
-            let mut ledger = FileLedger::open(path)?;
-            ledger.charge(eps)?;
-            Some((path.to_string(), ledger.remaining(), ledger.queries()))
-        }
-        None => None,
-    };
-
-    let runtime = build_runtime(eps, dataset)?;
-    let mut answer = runtime.run("data", spec.epsilon(eps))?;
+    let runtime = query_runtime(args.get("ledger"), dataset, eps, seed, threads)?;
+    let answer = runtime.run(LEDGER_DATASET, spec.epsilon(eps))?;
 
     // Telemetry is an operator side channel outside the ε guarantee: it
     // goes to stderr so the DP answer on stdout stays clean.
     if let Some(mode) = telemetry_mode {
         let report = answer
             .telemetry
-            .as_mut()
+            .as_ref()
             .expect("telemetry was requested on the spec");
-        // The in-process runtime carries only this one query's ε (the
-        // file ledger is the persistent accounting), so its remaining
-        // balance is always 0 here. Report the file ledger's instead.
-        if let Some((_, remaining, _)) = &ledger_state {
-            report.ledger.remaining_budget = *remaining;
-        }
         if mode == "json" {
             eprintln!("{}", report.to_json());
         } else {
@@ -415,20 +504,7 @@ fn query(args: &Args) -> Result<String, CliError> {
     } else {
         let _ = writeln!(out, "answer      : {:?}", answer.values);
     }
-    match ledger_state {
-        Some((path, remaining, queries)) => {
-            let _ = writeln!(
-                out,
-                "ledger      : {path} (remaining ε = {remaining:.6}, queries = {queries})"
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "ledger      : none — budget NOT persisted across invocations"
-            );
-        }
-    }
+    out.push_str(&ledger_line(args.get("ledger"), &runtime)?);
     if show_cache_stats {
         let _ = writeln!(
             out,
@@ -459,19 +535,13 @@ fn parse_column_ranges(raw: &str) -> Result<Vec<OutputRange>, CliError> {
         .collect()
 }
 
-/// Local DP-SQL: loads the CSV into an ephemeral runtime under the name
-/// the statement's `FROM` clause uses and executes one statement
-/// through the gupt-sql compiler.
+/// Local DP-SQL: loads the CSV into a one-shot runtime and executes one
+/// statement through the gupt-sql compiler.
 fn query_sql(args: &Args) -> Result<String, CliError> {
     use gupt_sql::{SqlOptions, SqlRuntime};
 
     let statement = args.require("sql")?;
-    let data_path = args.require("data")?;
-    let has_header = matches!(args.get("header"), Some("yes" | "true" | "1"));
-    let rows = csv::read_csv(data_path, has_header)?;
-    if rows.is_empty() {
-        return Err("dataset is empty".into());
-    }
+    let rows = read_data(args)?;
     let dimension = rows[0].len();
 
     // Per-column value bounds: an explicit `--ranges` list (indexed by
@@ -483,12 +553,7 @@ fn query_sql(args: &Args) -> Result<String, CliError> {
         (None, None) => Vec::new(),
     };
 
-    let seed: u64 = args.get_parsed("seed", "integer")?.unwrap_or_else(|| {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0)
-    });
+    let seed = query_seed(args)?;
     // The default options arm the min-frequency gate; `--min-count 0`
     // disarms it, which is acceptable here because the local path reads
     // the caller's own CSV — there is no untrusted analyst to protect.
@@ -506,28 +571,19 @@ fn query_sql(args: &Args) -> Result<String, CliError> {
         options.block_size = Some(b.get());
     }
 
-    // Parse up front: the FROM clause names the dataset the CSV binds
-    // to, and the statement budget is what the file ledger must cover.
-    let stmt = gupt_sql::parse(statement)?;
+    // The CSV is registered as LEDGER_DATASET whatever the FROM clause
+    // names, so a ledger holds one budget: point the statement there.
+    let mut stmt = gupt_sql::parse(statement)?;
     let eps_total = Epsilon::new(stmt.epsilon.unwrap_or(options.epsilon))?;
-
-    // Charge the persistent ledger first (fail closed), as with
-    // --program: the grouped path can only spend *up to* the statement
-    // budget, so the ledger never under-charges.
-    let ledger_state = match args.get("ledger") {
-        Some(path) => {
-            let mut ledger = FileLedger::open(path)?;
-            ledger.charge(eps_total)?;
-            Some((path.to_string(), ledger.remaining(), ledger.queries()))
-        }
-        None => None,
-    };
-
-    let runtime = GuptRuntimeBuilder::new()
-        .register_dataset(stmt.dataset.clone(), rows, eps_total)?
-        .seed(seed)
-        .build();
-    let answer = runtime.sql(statement, &options)?;
+    stmt.dataset = LEDGER_DATASET.to_string();
+    let runtime = query_runtime(
+        args.get("ledger"),
+        Dataset::new(rows)?,
+        eps_total,
+        seed,
+        None,
+    )?;
+    let answer = runtime.sql(&stmt.to_string(), &options)?;
 
     let mut out = String::new();
     let _ = writeln!(out, "statement   : {statement}");
@@ -547,20 +603,7 @@ fn query_sql(args: &Args) -> Result<String, CliError> {
         "suppressed  : {} group(s) below the min-count gate ({})",
         answer.suppressed_groups, options.min_count
     );
-    match ledger_state {
-        Some((path, remaining, queries)) => {
-            let _ = writeln!(
-                out,
-                "ledger      : {path} (remaining ε = {remaining:.6}, queries = {queries})"
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "ledger      : none — budget NOT persisted across invocations"
-            );
-        }
-    }
+    out.push_str(&ledger_line(args.get("ledger"), &runtime)?);
     Ok(out)
 }
 
@@ -587,12 +630,7 @@ fn render_cache_stats(stats: &gupt_core::CacheStats) -> String {
 /// lifetime budget, refusals are typed (budget vs. overload vs.
 /// deadline), and the remaining balance accounts exactly for the winners.
 fn serve(args: &Args) -> Result<String, CliError> {
-    let data_path = args.require("data")?;
-    let has_header = matches!(args.get("header"), Some("yes" | "true" | "1"));
-    let rows = csv::read_csv(data_path, has_header)?;
-    if rows.is_empty() {
-        return Err("dataset is empty".into());
-    }
+    let rows = read_data(args)?;
 
     let spec_str = args.require("program")?;
     let resolved = programs::resolve(spec_str)?;
@@ -783,12 +821,7 @@ fn serve_bind(args: &Args) -> Result<String, CliError> {
     use gupt_serve::{GuptServer, ServeConfig};
 
     let bind = args.require("bind")?;
-    let data_path = args.require("data")?;
-    let has_header = matches!(args.get("header"), Some("yes" | "true" | "1"));
-    let rows = csv::read_csv(data_path, has_header)?;
-    if rows.is_empty() {
-        return Err("dataset is empty".into());
-    }
+    let rows = read_data(args)?;
     let dataset_name = args.get("dataset").unwrap_or("data").to_string();
     let budget: f64 = args.require_parsed("budget", "positive number")?;
     let max_in_flight: usize = args.get_parsed("max-in-flight", "integer")?.unwrap_or(8);
@@ -1150,6 +1183,14 @@ fn parse_fsync(mode: &str) -> Result<FsyncPolicy, CliError> {
 /// of a bare Display string.
 fn render_runtime_error(err: GuptError) -> CliError {
     match err {
+        GuptError::Storage { source, path } if source.kind() == std::io::ErrorKind::WouldBlock => {
+            format!(
+                "another process holds the ledger (lock file {}); no charge was granted — \
+                 retry once that process exits",
+                path.display()
+            )
+            .into()
+        }
         GuptError::Storage { source, path } => format!(
             "ledger storage failure at {}: {source}\n\
              no charge was granted; fix the disk (permissions, space, mount) and retry — \
@@ -1182,6 +1223,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join(name);
         let _ = std::fs::remove_file(&p);
+        let _ = std::fs::remove_dir_all(&p);
         p.to_string_lossy().into_owned()
     }
 

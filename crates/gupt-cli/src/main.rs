@@ -11,13 +11,15 @@
 //! gupt-cli ledger show --ledger ages.ledger
 //! ```
 //!
-//! The ledger file persists the dataset's lifetime budget across
-//! invocations, so repeated queries genuinely draw down a shared ε —
-//! the privacy accounting is not per-process.
+//! `--ledger` names a state directory in the format `serve --state-dir`
+//! writes: one dataset's WAL segments and snapshot. It persists the
+//! lifetime budget across invocations, so repeated queries genuinely
+//! draw down a shared ε — the privacy accounting is not per-process.
+//! One process at a time may write it: a second query or server on the
+//! same directory fails at once, naming the lock file.
 
 mod args;
 mod commands;
-mod ledger;
 mod programs;
 
 use std::process::ExitCode;

@@ -165,9 +165,8 @@ impl GuptRuntimeBuilder {
         self
     }
 
-    /// Sets the execution policy for the chamber pool: worker count,
-    /// chunking, and reduce determinism. This is the first-class way to
-    /// configure parallelism:
+    /// Sets the execution policy for the chamber pool: worker count and
+    /// chunking. This is the first-class way to configure parallelism:
     ///
     /// ```ignore
     /// GuptRuntimeBuilder::new()

@@ -65,6 +65,10 @@
 //!   cold-starts, which costs latency on the next repeat query but never
 //!   privacy. Version-1 snapshots (no principal section) still decode,
 //!   as an empty principal table.
+//! - `name.lock` — empty. [`LedgerStore::open`] holds an exclusive OS
+//!   lock on it for as long as the store is open, so one process at a
+//!   time writes the dataset's state; the kernel drops the lock when
+//!   that process exits, however it exits.
 //! - `name.wal` — the single-file layout written before segmentation.
 //!   Opening a store migrates it in place (renamed to segment 1) and
 //!   recovery reads it as the sole segment; a directory holding *both* a
@@ -970,11 +974,37 @@ pub struct StorageStats {
     pub poisoned: bool,
 }
 
-/// Best-effort directory fsync so a rename / create / delete of entries
-/// under `dir` is itself durable.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+/// Fsyncs `dir` so a rename / create / delete of entries under it is
+/// itself durable. A failure is returned, never dropped: the callers
+/// delete or append past the entry this makes durable.
+fn sync_dir(dir: &Path) -> Result<(), GuptError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| storage_err(e, dir))
+}
+
+/// Takes the exclusive writer lock `stem.lock` in `dir` without
+/// waiting. The kernel releases it when the returned file closes — on
+/// drop or when the process dies — so no stale lock can outlive its
+/// holder. A held lock is refused with a `WouldBlock` storage error.
+fn lock_writer(dir: &Path, stem: &str) -> Result<File, GuptError> {
+    let path = dir.join(format!("{stem}.lock"));
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(|e| storage_err(e, &path))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(std::fs::TryLockError::WouldBlock) => Err(storage_err(
+            io::Error::new(
+                io::ErrorKind::WouldBlock,
+                "another open ledger store holds this dataset's writer lock",
+            ),
+            &path,
+        )),
+        Err(std::fs::TryLockError::Error(e)) => Err(storage_err(e, &path)),
     }
 }
 
@@ -1010,6 +1040,9 @@ pub struct LedgerStore {
     /// Appends since the last fsync (for `EveryN`).
     unsynced: u32,
     stats: StorageStats,
+    /// The exclusive writer lock on `name.lock`, held while the store
+    /// is open.
+    _lock: File,
 }
 
 impl std::fmt::Debug for LedgerStore {
@@ -1027,6 +1060,14 @@ impl LedgerStore {
     /// Opens (or creates) the durable state for `name` and returns the
     /// store plus the recovered books.
     ///
+    /// The store is the dataset's only writer: open takes the exclusive
+    /// OS lock `name.lock` in the state directory and holds it until the
+    /// store drops. A second open of the same dataset — from this
+    /// process or another — fails at once with [`GuptError::Storage`]
+    /// of kind [`io::ErrorKind::WouldBlock`] naming the lock file,
+    /// instead of spending the budget a second time. [`recover`] reads
+    /// without the lock.
+    ///
     /// Healing happens here, after the (pure-read) recovery pass: a
     /// legacy single-file `name.wal` is migrated in place as segment 1,
     /// the first torn segment is truncated to its longest valid record
@@ -1036,6 +1077,7 @@ impl LedgerStore {
     pub fn open(name: &str, config: &StorageConfig) -> Result<(Self, RecoveredLedger), GuptError> {
         std::fs::create_dir_all(&config.dir).map_err(|e| storage_err(e, &config.dir))?;
         let stem = file_stem(name)?.to_string();
+        let lock = lock_writer(&config.dir, &stem)?;
 
         // Migrate a legacy single-file WAL in place: it becomes segment
         // 1. (If segments exist beside it, recover() below refuses the
@@ -1044,7 +1086,7 @@ impl LedgerStore {
         if legacy.exists() && list_segments(&config.dir, &stem)?.is_empty() {
             let target = segment_path(&config.dir, &stem, 1);
             std::fs::rename(&legacy, &target).map_err(|e| storage_err(e, &legacy))?;
-            sync_dir(&config.dir);
+            sync_dir(&config.dir)?;
         }
 
         let recovered = recover(name, config)?;
@@ -1071,7 +1113,7 @@ impl LedgerStore {
                     file.sync_data().map_err(|e| storage_err(e, &path))?;
                 }
             }
-            sync_dir(&config.dir);
+            sync_dir(&config.dir)?;
         }
 
         let segments = list_segments(&config.dir, &stem)?;
@@ -1101,6 +1143,7 @@ impl LedgerStore {
                 wal_records: recovered.wal_records,
                 unsynced: 0,
                 stats: StorageStats::default(),
+                _lock: lock,
             },
             recovered,
         ))
@@ -1175,13 +1218,19 @@ impl LedgerStore {
         self.append_framed(encode_cache_record(rec))
     }
 
+    /// Marks the store poisoned and hands `err` back: every write
+    /// failure wedges the store, so later charges fail closed.
+    fn poison(&mut self, err: GuptError) -> GuptError {
+        self.stats.poisoned = true;
+        err
+    }
+
     fn append_framed(&mut self, record: Vec<u8>) -> Result<(), GuptError> {
         if self.stats.poisoned {
             return Err(self.poisoned_err());
         }
         if let Err(e) = self.wal.append(&record) {
-            self.stats.poisoned = true;
-            return Err(storage_err(e, &self.active_path));
+            return Err(self.poison(storage_err(e, &self.active_path)));
         }
         self.stats.records_written += 1;
         self.wal_records += 1;
@@ -1194,8 +1243,7 @@ impl LedgerStore {
         };
         if should_sync {
             if let Err(e) = self.wal.sync() {
-                self.stats.poisoned = true;
-                return Err(storage_err(e, &self.active_path));
+                return Err(self.poison(storage_err(e, &self.active_path)));
             }
             self.stats.fsyncs += 1;
             self.unsynced = 0;
@@ -1215,26 +1263,29 @@ impl LedgerStore {
     fn rotate(&mut self) -> Result<(), GuptError> {
         if self.unsynced > 0 {
             if let Err(e) = self.wal.sync() {
-                self.stats.poisoned = true;
-                return Err(storage_err(e, &self.active_path));
+                return Err(self.poison(storage_err(e, &self.active_path)));
             }
             self.stats.fsyncs += 1;
             self.unsynced = 0;
         }
-        let next = self.active_index + 1;
-        let path = segment_path(&self.dir, &self.stem, next);
-        match StdWalFile::open(&path) {
+        self.open_segment(self.active_index + 1)?;
+        self.stats.rotations += 1;
+        Ok(())
+    }
+
+    /// Makes segment `index` the empty append target and syncs the
+    /// directory so its entry is durable before anything lands in it.
+    /// Failures poison the store.
+    fn open_segment(&mut self, index: u64) -> Result<(), GuptError> {
+        let path = segment_path(&self.dir, &self.stem, index);
+        let opened = StdWalFile::open(&path).map_err(|e| storage_err(e, &path));
+        match opened.and_then(|f| sync_dir(&self.dir).map(|()| f)) {
             Ok(f) => self.wal = Box::new(f),
-            Err(e) => {
-                self.stats.poisoned = true;
-                return Err(storage_err(e, &path));
-            }
+            Err(e) => return Err(self.poison(e)),
         }
-        sync_dir(&self.dir);
-        self.active_index = next;
+        self.active_index = index;
         self.active_path = path;
         self.active_bytes = 0;
-        self.stats.rotations += 1;
         Ok(())
     }
 
@@ -1271,41 +1322,34 @@ impl LedgerStore {
             queries,
             principals: principals.clone(),
         }) {
-            self.stats.poisoned = true;
-            return Err(e);
+            return Err(self.poison(e));
         }
         // The snapshot owns every record now: delete the segment set.
         for index in self.first_index..=self.active_index {
             let path = segment_path(&self.dir, &self.stem, index);
             if let Err(e) = std::fs::remove_file(&path) {
                 if e.kind() != io::ErrorKind::NotFound {
-                    self.stats.poisoned = true;
-                    return Err(storage_err(e, &path));
+                    return Err(self.poison(storage_err(e, &path)));
                 }
             }
         }
         // Open a fresh segment past the deleted range for what follows.
         let next = self.active_index + 1;
-        let path = segment_path(&self.dir, &self.stem, next);
-        match StdWalFile::open(&path) {
-            Ok(f) => self.wal = Box::new(f),
-            Err(e) => {
-                self.stats.poisoned = true;
-                return Err(storage_err(e, &path));
-            }
-        }
-        sync_dir(&self.dir);
+        self.open_segment(next)?;
         self.first_index = next;
-        self.active_index = next;
-        self.active_path = path;
-        self.active_bytes = 0;
         self.wal_records = 0;
         self.unsynced = 0;
         self.stats.compactions += 1;
         Ok(())
     }
 
-    fn write_snapshot(&self, snap: &Snapshot) -> Result<(), GuptError> {
+    /// Atomically replaces `name.snap` with `snap`: tmp write + fsync,
+    /// rename, then a directory fsync so the rename itself is durable.
+    ///
+    /// Compaction calls this before deleting the segments it folds;
+    /// `gupt-cli ledger init` calls it once on a fresh store to record
+    /// the lifetime budget.
+    pub fn write_snapshot(&self, snap: &Snapshot) -> Result<(), GuptError> {
         let tmp = self.snap_path.with_extension("snap.tmp");
         let bytes = encode_snapshot(snap);
         let mut file = File::create(&tmp).map_err(|e| storage_err(e, &tmp))?;
@@ -1313,11 +1357,7 @@ impl LedgerStore {
         file.sync_all().map_err(|e| storage_err(e, &tmp))?;
         drop(file);
         std::fs::rename(&tmp, &self.snap_path).map_err(|e| storage_err(e, &self.snap_path))?;
-        // Sync the directory so the rename itself is durable.
-        if let Some(dir) = self.snap_path.parent() {
-            sync_dir(dir);
-        }
-        Ok(())
+        sync_dir(&self.dir)
     }
 }
 
@@ -2019,5 +2059,30 @@ mod tests {
         );
         let dotted = recover("a.000002", &config).unwrap();
         assert!((dotted.spent - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn second_writer_is_refused_until_the_first_store_drops() {
+        let dir = tmp_dir("writer_lock");
+        let config = StorageConfig::new(&dir).fsync(FsyncPolicy::Always);
+        let (mut first, _) = LedgerStore::open("d", &config).unwrap();
+        first.append_charge(0.5).unwrap();
+        first.append_principal_charge("alice", 0.25).unwrap();
+        match LedgerStore::open("d", &config) {
+            Err(GuptError::Storage { source, path }) => {
+                assert_eq!(source.kind(), io::ErrorKind::WouldBlock);
+                assert_eq!(path, dir.join("d.lock"));
+            }
+            other => panic!("a second writer must be refused, got {other:?}"),
+        }
+        // The lock covers one dataset stem, and readers never take it.
+        drop(LedgerStore::open("e", &config).unwrap());
+        let seen = recover("d", &config).unwrap();
+        drop(first);
+        let (_, reopened) = LedgerStore::open("d", &config).unwrap();
+        assert_eq!(reopened.spent, 0.75);
+        assert_eq!(reopened.queries, 2);
+        assert_eq!(reopened.principals, seen.principals);
+        assert_eq!((seen.spent, seen.queries), (0.75, 2));
     }
 }
