@@ -7,7 +7,8 @@
 //! object at the current schema version carrying all six stage
 //! timings, the block counters, the ledger event, (since schema v3)
 //! the answer-cache counters, (since schema v5) the `parallel`
-//! execution object, (since schema v6) the `ingest` counters,
+//! execution object (with `spawned` in place of `steals` since v9),
+//! (since schema v6) the `ingest` counters,
 //! (since schema v7) the `stream` continuous-query counters and
 //! (since schema v8) the `sql` front-end counters,
 //! exactly as `gupt-cli --telemetry json`
@@ -233,7 +234,7 @@ fn validate_telemetry(t: &Value) -> Result<(), String> {
 }
 
 fn validate_parallel(parallel: &Value) -> Result<(), String> {
-    for key in ["workers", "steals"] {
+    for key in ["workers", "spawned"] {
         let n = require_number(parallel, key).map_err(|e| format!("telemetry.parallel: {e}"))?;
         if n < 0.0 || n.fract() != 0.0 {
             return Err(format!(
@@ -428,14 +429,14 @@ mod tests {
     }
 
     #[test]
-    fn rejects_fractional_steal_count() {
+    fn rejects_fractional_spawn_count() {
         let json = RunReport::new("b")
             .telemetry(TelemetryReport::default())
             .to_json()
-            .replace("\"steals\":0", "\"steals\":0.5");
+            .replace("\"spawned\":0", "\"spawned\":0.5");
         let doc = parse(&json).unwrap();
         let err = validate_run_report(&doc).unwrap_err();
-        assert!(err.contains("telemetry.parallel.steals"), "{err}");
+        assert!(err.contains("telemetry.parallel.spawned"), "{err}");
     }
 
     #[test]

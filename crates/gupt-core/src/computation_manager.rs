@@ -13,6 +13,12 @@
 //! row store; shipping one to a chamber is two `Arc` bumps, so a query's
 //! data-plane allocation is O(total indices) regardless of γ or the
 //! dataset's byte size.
+//!
+//! A query's blocks run as one dispatch of the chamber pool: workers
+//! claim blocks from a shared cursor, and when chambers can be killed
+//! (an execution budget, or a service deadline) the calling thread
+//! watches a few worker threads rather than starting one per block. A
+//! service deadline bounds the whole fan-out, not each chamber.
 
 use gupt_sandbox::view::{BlockView, RowStore};
 use gupt_sandbox::{
@@ -20,7 +26,7 @@ use gupt_sandbox::{
     PoolTrace,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Summary of how a batch of chamber executions went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,41 +116,34 @@ impl ComputationManager {
     }
 
     /// The full-featured dispatch behind the runtime's query path:
-    /// optional deadline cap, optional per-query [`ExecutionPolicy`]
+    /// optional service deadline, optional per-query [`ExecutionPolicy`]
     /// override (a `QuerySpec::execution` or a service worker-budget
     /// cap), and optional per-query seed base from which chamber `i`'s
     /// RNG stream is split *before* fan-out, keeping answers
     /// bit-identical at any thread count.
     ///
-    /// When `cap` is set *and* the pool's policy has no execution budget
-    /// of its own, chambers run under the pool policy with `cap` as the
-    /// kill bound. An explicitly configured budget always wins — the
-    /// owner's §6.2 timing-attack bound is not loosened by a lenient
-    /// query deadline.
+    /// When `deadline` is set *and* the pool's policy has no execution
+    /// budget of its own, the deadline bounds the whole fan-out: a
+    /// chamber still running at that instant is killed, and a block not
+    /// yet started reports the fallback as timed out. An explicitly
+    /// configured budget always wins — the owner's §6.2 timing-attack
+    /// bound is not loosened by a lenient query deadline.
     pub fn execute_blocks_planned(
         &self,
         program: &Arc<dyn BlockProgram>,
         views: Vec<BlockView>,
-        cap: Option<Duration>,
+        deadline: Option<Instant>,
         exec: Option<&ExecutionPolicy>,
         seed_base: Option<u64>,
     ) -> (Vec<ChamberReport>, PoolTrace) {
-        let mut pool = match exec {
+        let pool = match exec {
             Some(exec) if exec != self.pool.execution() => {
                 self.pool.with_execution_policy(exec.clone())
             }
             _ => self.pool.clone(),
         };
-        if let Some(cap) = cap {
-            // An explicitly configured chamber budget always wins — the
-            // owner's §6.2 timing-attack bound is not loosened by a
-            // lenient query deadline.
-            if pool.policy().execution_budget.is_none() {
-                let policy = pool.policy().clone().with_execution_budget(cap);
-                pool = pool.with_policy(policy);
-            }
-        }
-        pool.run_all_traced_seeded(program, views, seed_base)
+        let deadline = deadline.filter(|_| pool.policy().execution_budget.is_none());
+        pool.run_all_traced_seeded(program, views, seed_base, deadline)
     }
 
     /// Runs `program` once over an entire row store (used on aged,
@@ -165,6 +164,7 @@ impl ComputationManager {
 mod tests {
     use super::*;
     use gupt_sandbox::ClosureProgram;
+    use std::time::Duration;
 
     fn view(rows: &[Vec<f64>]) -> BlockView {
         BlockView::from_rows(rows)
@@ -218,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn capped_execution_kills_overrunning_blocks() {
+    fn deadline_kills_overrunning_blocks() {
         let manager = ComputationManager::new(ChamberPolicy::unbounded(), 2);
         let slow: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |_: &BlockView| {
             std::thread::sleep(Duration::from_secs(5));
@@ -227,7 +227,7 @@ mod tests {
         let (reports, _) = manager.execute_blocks_planned(
             &slow,
             vec![view(&[vec![1.0]])],
-            Some(Duration::from_millis(20)),
+            Some(Instant::now() + Duration::from_millis(20)),
             None,
             None,
         );
@@ -235,10 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_policy_budget_wins_over_cap() {
-        // The owner's 5 s bound is not overridden by a 1 ms cap request:
+    fn explicit_policy_budget_wins_over_deadline() {
+        // The owner's 5 s bound is not overridden by a 1 ms deadline:
         // a program that sleeps 30 ms still completes under the
-        // configured policy even though it would blow the cap.
+        // configured policy even though it would blow the deadline.
         let policy = ChamberPolicy::bounded(Duration::from_secs(5), 0.0).without_padding();
         let manager = ComputationManager::new(policy, 2);
         let napper: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |_: &BlockView| {
@@ -248,7 +248,7 @@ mod tests {
         let (reports, _) = manager.execute_blocks_planned(
             &napper,
             vec![view(&[vec![3.0]])],
-            Some(Duration::from_millis(1)),
+            Some(Instant::now() + Duration::from_millis(1)),
             None,
             None,
         );

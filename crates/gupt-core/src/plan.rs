@@ -11,7 +11,7 @@
 //! telemetry finish.
 //!
 //! Callers differ only in how they fill in a plan: `run` charges the
-//! ledger (for a principal, under a service deadline cap); a §5.2 batch
+//! ledger (for a principal, under a service deadline); a §5.2 batch
 //! plans every member before its one debit and executes the plans
 //! precharged; `poll_window` plans one window's row range and journals
 //! under the window's content hash; `explain` and
@@ -109,9 +109,10 @@ pub(crate) struct Plan<'a> {
     /// the rest.
     pub(crate) charge: Option<Epsilon>,
     pub(crate) principal: Option<&'a str>,
-    /// Chamber kill bound derived from a service deadline. It applies
-    /// only when the chamber policy sets no execution budget of its own.
-    pub(crate) exec_cap: Option<Duration>,
+    /// The service deadline, which bounds the whole chamber fan-out.
+    /// It applies only when the chamber policy sets no execution budget
+    /// of its own.
+    pub(crate) deadline: Option<Instant>,
     /// The released answer's cache key, and the epoch its WAL cache
     /// record is journaled under.
     pub(crate) fingerprint: Option<QueryFingerprint>,
@@ -264,7 +265,7 @@ impl GuptRuntime {
             split: Split::new(epsilon, p, estimated)?,
             charge: Some(epsilon),
             principal: None,
-            exec_cap: None,
+            deadline: None,
             fingerprint: None,
             journal_epoch: snap.epoch,
             stage_times: [beta_time, budget_time],
@@ -318,7 +319,7 @@ impl GuptRuntime {
         let (reports, trace) = self.computation.execute_blocks_planned(
             &spec.program,
             views,
-            plan.exec_cap,
+            plan.deadline,
             spec.execution.as_ref(),
             Some(query_seed),
         );

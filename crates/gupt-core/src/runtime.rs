@@ -553,7 +553,7 @@ impl GuptRuntime {
     }
 
     /// The one-shot path behind `run`, `run_as` and the query service,
-    /// whose deadline becomes `exec_cap`.
+    /// whose deadline bounds the chamber fan-out.
     ///
     /// Fingerprintable queries (named program, explicit ε, tight or
     /// loose range) are looked up before anything else: a hit replays
@@ -564,7 +564,7 @@ impl GuptRuntime {
         dataset: &str,
         principal: Option<&str>,
         spec: &QuerySpec,
-        exec_cap: Option<Duration>,
+        deadline: Option<Instant>,
     ) -> Result<PrivateAnswer, GuptError> {
         let started = Instant::now();
         let snap = self.snapshot(dataset)?;
@@ -574,7 +574,7 @@ impl GuptRuntime {
         }
         let mut plan = self.plan(&snap, spec, None)?;
         plan.principal = principal;
-        plan.exec_cap = exec_cap;
+        plan.deadline = deadline;
         plan.fingerprint = fingerprint;
         self.execute(plan)
     }
@@ -1255,7 +1255,7 @@ mod tests {
 
     #[test]
     fn seeded_answers_bit_identical_across_thread_counts() {
-        // The core determinism contract of the work-stealing engine: a
+        // The core determinism contract of the parallel engine: a
         // seeded query's answer is a pure function of (seed, sequence),
         // independent of how many workers executed the chambers.
         let run = |threads: usize| {

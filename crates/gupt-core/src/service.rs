@@ -263,12 +263,14 @@ impl QueryService {
     /// Runs one query, waiting at most `deadline` for admission. The
     /// deadline bounds queue wait *and* in-chamber work: when the
     /// runtime's chamber policy carries no `execution_budget` of its
-    /// own, the remaining deadline after admission becomes the kill
-    /// bound, so a deadline actually bounds end-to-end latency instead
-    /// of only the wait for a slot. An explicitly configured chamber
-    /// budget always wins — a lenient deadline never loosens the
-    /// owner's §6.2 timing bound. Budget is charged exactly when
-    /// execution starts, so an abandoned wait provably spends nothing.
+    /// own, the deadline bounds the whole chamber fan-out — a chamber
+    /// still running when it passes is killed, and a block not yet
+    /// started reports the fallback as timed out — so a deadline
+    /// actually bounds end-to-end latency instead of only the wait for
+    /// a slot. An explicitly configured chamber budget always wins — a
+    /// lenient deadline never loosens the owner's §6.2 timing bound.
+    /// Budget is charged exactly when execution starts, so an abandoned
+    /// wait provably spends nothing.
     pub fn run_with_deadline(
         &self,
         dataset: &str,
@@ -287,18 +289,16 @@ impl QueryService {
     ) -> Result<PrivateAnswer, GuptError> {
         let start = Instant::now();
         let _permit = self.admit(deadline)?;
-        // Whatever deadline is left after queueing caps chamber
-        // execution (the runtime ignores the cap when its policy already
-        // sets a budget). Clamped to ≥ 1 ms so a query admitted exactly
-        // at the wire gets a kill bound, not an instant zero-time kill.
-        let exec_cap = deadline.map(|limit| {
-            limit
-                .saturating_sub(start.elapsed())
-                .max(Duration::from_millis(1))
-        });
+        // Whatever deadline is left after queueing bounds the chamber
+        // fan-out (the runtime ignores it when its policy already sets a
+        // budget). At least 1 ms after admission, so a query admitted
+        // exactly at the wire still starts its chambers.
+        let deadline = deadline
+            .and_then(|limit| start.checked_add(limit))
+            .map(|at| at.max(Instant::now() + Duration::from_millis(1)));
         self.inner
             .runtime
-            .query(dataset, principal, &self.cap_execution(spec), exec_cap)
+            .query(dataset, principal, &self.cap_execution(spec), deadline)
     }
 
     /// Runs a §5.2 budget-distributed batch as **one** admission unit:
@@ -617,6 +617,40 @@ mod tests {
             .unwrap();
         assert!(start.elapsed() < Duration::from_secs(30), "query hung");
         assert_eq!(answer.execution.timed_out, answer.num_blocks);
+    }
+
+    #[test]
+    fn deadline_bounds_the_whole_fan_out() {
+        use gupt_sandbox::ClosureProgram;
+        // Eight 150 ms chambers in sequence under a 300 ms deadline: the
+        // deadline bounds the fan-out, not each chamber, so the query
+        // returns near 300 ms with the unfinished blocks timed out.
+        let rows: Vec<Vec<f64>> = (0..400).map(|i| vec![(i % 50) as f64]).collect();
+        let runtime = GuptRuntimeBuilder::new()
+            .register_dataset("t", rows, eps(100.0))
+            .unwrap()
+            .execution(ExecutionPolicy::sequential())
+            .seed(7)
+            .build();
+        let svc = QueryService::new(runtime, ServiceConfig::default());
+        let slow = ClosureProgram::new(1, |_: &gupt_sandbox::BlockView| {
+            thread::sleep(Duration::from_millis(150));
+            vec![0.0]
+        });
+        let spec = QuerySpec::from_program(Arc::new(slow))
+            .epsilon(eps(0.5))
+            .fixed_block_size(50)
+            .range_estimation(RangeEstimation::Tight(vec![
+                OutputRange::new(0.0, 50.0).unwrap()
+            ]));
+        let start = std::time::Instant::now();
+        let answer = svc
+            .run_with_deadline("t", spec, Duration::from_millis(300))
+            .unwrap();
+        let took = start.elapsed();
+        assert_eq!(answer.num_blocks, 8);
+        assert!(took < Duration::from_millis(600), "took {took:?}");
+        assert!(answer.execution.timed_out >= 6, "{:?}", answer.execution);
     }
 
     #[test]

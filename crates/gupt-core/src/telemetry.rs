@@ -37,8 +37,8 @@ use crate::computation_manager::ExecutionSummary;
 /// (network serve-plane counters: accepted / refused / in-flight,
 /// per-principal ε spent, p50/p99 latency) — present only on reports
 /// emitted by a serve plane. v5 added the `parallel` object (chamber
-/// work-stealing pool counters: workers used, steal count, chamber-stage
-/// wall vs cpu milliseconds). v6 added the mandatory `ingest` object
+/// pool counters: workers used, steal count, chamber-stage wall vs cpu
+/// milliseconds). v6 added the mandatory `ingest` object
 /// (incremental-ingest counters of the queried dataset: appends applied,
 /// rows appended, delta bytes materialized — all zero for a dataset that
 /// never saw an append). v7 added the mandatory `stream` object
@@ -50,8 +50,11 @@ use crate::computation_manager::ExecutionSummary;
 /// (DP-SQL front-end counters: statements parsed, statements planned
 /// into `QuerySpec` plans, and groups suppressed by the
 /// minimum-frequency release rule — all zero for a query that did not
-/// arrive through the SQL layer).
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 8;
+/// arrive through the SQL layer). v9 replaced the `parallel` object's
+/// `steals` count (the pool no longer steals) with `spawned`: the
+/// threads the chamber dispatch started, replacements for killed
+/// workers included.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 9;
 
 /// The six pipeline stages of one GUPT query (Algorithm 1, §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -151,17 +154,17 @@ pub struct LedgerEvent {
     pub remaining_budget: f64,
 }
 
-/// Work-stealing chamber-pool counters for one query (schema v5
-/// `parallel` object). `wall_ms` is the chamber-execution stage's
+/// Chamber-pool counters for one query (schema v9 `parallel`
+/// object). `wall_ms` is the chamber-execution stage's
 /// wall clock; `cpu_ms` is the sum of per-worker busy time — their
 /// ratio exposes how well the parallel fan-out packed the workers.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ParallelTelemetry {
     /// Worker threads the pool actually used for the query.
     pub workers: usize,
-    /// Tasks a worker stole from a sibling's deque (0 on the
-    /// sequential fast path).
-    pub steals: u64,
+    /// Threads the dispatch started, replacements for killed workers
+    /// included (see [`PoolTrace::spawned`]).
+    pub spawned: u64,
     /// Wall-clock milliseconds of the chamber-execution stage.
     pub wall_ms: f64,
     /// Cumulative busy (cpu) milliseconds across all workers.
@@ -169,12 +172,12 @@ pub struct ParallelTelemetry {
 }
 
 impl ParallelTelemetry {
-    /// Renders the schema-v5 `parallel` object (the value only, no key).
+    /// Renders the schema-v9 `parallel` object (the value only, no key).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"workers\":{},\"steals\":{},\"wall_ms\":{},\"cpu_ms\":{}}}",
+            "{{\"workers\":{},\"spawned\":{},\"wall_ms\":{},\"cpu_ms\":{}}}",
             self.workers,
-            self.steals,
+            self.spawned,
             json_f64(self.wall_ms),
             json_f64(self.cpu_ms)
         )
@@ -331,7 +334,7 @@ pub struct TelemetryReport {
     /// finished (a cache *hit* reports with empty `stages` — nothing but
     /// the lookup ran).
     pub cache: CacheStats,
-    /// Work-stealing chamber-pool counters (all-zero on a cache hit —
+    /// Chamber-pool counters (all-zero on a cache hit —
     /// no chamber ran).
     pub parallel: ParallelTelemetry,
     /// Incremental-ingest counters of the queried dataset (all-zero when
@@ -370,7 +373,7 @@ impl TelemetryReport {
     /// dimension), `ledger` (`epsilon_requested`/`epsilon_charged`/
     /// `remaining_budget`), `cache` (`hits`/`misses`/`epsilon_saved`/
     /// `evictions`/`recovered_entries`/`entries`/`capacity`), `parallel`
-    /// (`workers`/`steals`/`wall_ms`/`cpu_ms`), `ingest`
+    /// (`workers`/`spawned`/`wall_ms`/`cpu_ms`), `ingest`
     /// (`appends`/`rows_appended`/`bytes_materialized`), `stream`
     /// (`subscriptions`/`windows_closed`/`windows_replayed`/`rows_aged`/
     /// `epsilon_spent`), `sql` (`statements_parsed`/`statements_planned`/
@@ -473,9 +476,9 @@ impl fmt::Display for TelemetryReport {
         )?;
         writeln!(
             f,
-            "  parallel: {} workers, {} steals, {:.3} ms wall / {:.3} ms cpu",
+            "  parallel: {} workers, {} threads spawned, {:.3} ms wall / {:.3} ms cpu",
             self.parallel.workers,
-            self.parallel.steals,
+            self.parallel.spawned,
             self.parallel.wall_ms,
             self.parallel.cpu_ms
         )?;
@@ -636,7 +639,7 @@ impl QueryTelemetry {
         self.blocks.worker_utilization = trace.utilization();
         self.parallel = ParallelTelemetry {
             workers: trace.workers_used,
-            steals: trace.steals,
+            spawned: trace.spawned,
             wall_ms: ms(trace.wall),
             cpu_ms: ms(trace.cpu()),
         };
@@ -733,7 +736,7 @@ mod tests {
                 wall: Duration::from_millis(100),
                 workers_used: 4,
                 busy: vec![Duration::from_millis(80); 4],
-                steals: 3,
+                spawned: 3,
             },
         );
         tel.record_clamp_hits(vec![3, 0]);
@@ -833,7 +836,7 @@ mod tests {
         let json = sample_report().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
-            "\"schema_version\":8",
+            "\"schema_version\":9",
             "\"total_ms\":",
             "\"stages\":{",
             "\"blocks\":{",
@@ -854,7 +857,7 @@ mod tests {
             "\"recovered_entries\":2",
             "\"entries\":4",
             "\"capacity\":256",
-            "\"parallel\":{\"workers\":4,\"steals\":3,\"wall_ms\":100,\"cpu_ms\":320}",
+            "\"parallel\":{\"workers\":4,\"spawned\":3,\"wall_ms\":100,\"cpu_ms\":320}",
             "\"ingest\":{\"appends\":2,\"rows_appended\":150,\"bytes_materialized\":1200}",
             "\"stream\":{\"subscriptions\":2,\"windows_closed\":6,\"windows_replayed\":3,\
              \"rows_aged\":90,\"epsilon_spent\":0.75}",
@@ -875,7 +878,7 @@ mod tests {
         let tel = QueryTelemetry::enabled();
         let json = tel.finish(Duration::ZERO).unwrap().to_json();
         assert!(
-            json.contains("\"parallel\":{\"workers\":0,\"steals\":0,\"wall_ms\":0,\"cpu_ms\":0}"),
+            json.contains("\"parallel\":{\"workers\":0,\"spawned\":0,\"wall_ms\":0,\"cpu_ms\":0}"),
             "{json}"
         );
     }
@@ -1035,7 +1038,10 @@ mod tests {
         assert!(text.contains("clamp hits/dim"), "{text}");
         assert!(text.contains("views served"), "{text}");
         assert!(text.contains("cache: 3 hits / 5 misses"), "{text}");
-        assert!(text.contains("parallel: 4 workers, 3 steals"), "{text}");
+        assert!(
+            text.contains("parallel: 4 workers, 3 threads spawned"),
+            "{text}"
+        );
         assert!(
             text.contains("ingest: 2 appends, 150 rows appended"),
             "{text}"

@@ -6,13 +6,29 @@
 //! panic containment, fixed output arity, fresh scratch per invocation,
 //! and optional constant-time padding.
 //!
-//! A [`ChamberPool`] dispatches many blocks across a work-stealing
-//! worker pool (the paper's cluster parallelism, §1), scheduled by an
-//! [`ExecutionPolicy`]. Blocks are bundled into contiguous chunks, each
-//! worker drains its own deque, and idle workers steal chunks from busy
-//! peers — so one slow chamber (a hostile program burning its budget,
-//! say) cannot strand the rest of the fan-out behind it. Two properties
-//! make the parallelism invisible to answers:
+//! A [`ChamberPool`] runs a query's blocks as one *dispatch* (the
+//! paper's cluster parallelism, §1). Workers claim block indices from
+//! one shared cursor, so a slow chamber (a hostile program burning its
+//! budget, say) holds up only its own worker while the others drain the
+//! rest. How the workers are hosted depends on whether a chamber can be
+//! killed:
+//!
+//! - **Unbounded** (no execution budget and no deadline): the calling
+//!   thread claims blocks itself, beside `workers − 1` scoped helper
+//!   threads.
+//! - **Bounded** (an execution budget, or a deadline for the whole
+//!   fan-out): the calling thread is the watchdog over
+//!   `min(workers, blocks)` worker threads. Safe Rust cannot stop a
+//!   running thread, so a kill abandons the worker — its output is
+//!   discarded and it holds no capability to leak through — and a fresh
+//!   worker takes its place. Every worker that was not killed is joined
+//!   before the dispatch returns.
+//!
+//! One mutex guards the cursor, each worker's running chamber and the
+//! report slots. Workers claim and publish under it and the watchdog
+//! kills under it, so a killed worker can neither fill a slot nor claim
+//! another block. Two properties make the parallelism invisible to
+//! answers:
 //!
 //! - **Seeds split before fan-out.** Chamber `i`'s RNG seed is a pure
 //!   function of (query seed, `i`) derived by [`crate::exec::chamber_seed`]
@@ -32,8 +48,8 @@ use crate::program::BlockProgram;
 use crate::scratch::Scratch;
 use crate::view::BlockView;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// How a chamber invocation ended.
@@ -92,115 +108,18 @@ impl Chamber {
     /// function of (query seed, block index) — see
     /// [`crate::exec::chamber_seed`] — so the invocation stays
     /// deterministic under any scheduling.
+    ///
+    /// This is a one-block dispatch: under an execution budget the
+    /// program runs on one watched worker thread, killed the same way a
+    /// [`ChamberPool`] kills; without one it runs on the calling thread.
     pub fn execute_seeded(
         &self,
         program: Arc<dyn BlockProgram>,
         block: BlockView,
         seed: Option<u64>,
     ) -> ChamberReport {
-        let start = Instant::now();
-        let dim = program.output_dimension();
-        let fallback = vec![self.policy.fallback_value; dim];
-
-        let (output, outcome) = match self.policy.execution_budget {
-            None => self.run_inline(program.as_ref(), &block, &fallback, seed),
-            Some(budget) => self.run_bounded(program, block, budget, &fallback, seed),
-        };
-
-        let mut output = output;
-        normalize_arity(&mut output, dim, self.policy.fallback_value);
-
-        // Constant-time padding: consume the rest of the budget so the
-        // chamber's total occupancy is independent of the data.
-        if self.policy.pad_to_budget {
-            if let Some(budget) = self.policy.execution_budget {
-                let elapsed = start.elapsed();
-                if elapsed < budget {
-                    std::thread::sleep(budget - elapsed);
-                }
-            }
-        }
-
-        ChamberReport {
-            output,
-            outcome,
-            elapsed: start.elapsed(),
-        }
-    }
-
-    fn fresh_scratch(&self, seed: Option<u64>) -> Scratch {
-        let scratch = match self.policy.scratch_quota {
-            Some(q) => Scratch::with_quota(q),
-            None => Scratch::new(),
-        };
-        match seed {
-            Some(s) => scratch.with_seed(s),
-            None => scratch,
-        }
-    }
-
-    fn run_inline(
-        &self,
-        program: &dyn BlockProgram,
-        block: &BlockView,
-        fallback: &[f64],
-        seed: Option<u64>,
-    ) -> (Vec<f64>, ChamberOutcome) {
-        let mut scratch = self.fresh_scratch(seed);
-        let result = catch_unwind(AssertUnwindSafe(|| program.run(block, &mut scratch)));
-        scratch.wipe();
-        match result {
-            Ok(out) => (out, ChamberOutcome::Completed),
-            Err(_) => (fallback.to_vec(), ChamberOutcome::Panicked),
-        }
-    }
-
-    fn run_bounded(
-        &self,
-        program: Arc<dyn BlockProgram>,
-        block: BlockView,
-        budget: Duration,
-        fallback: &[f64],
-        seed: Option<u64>,
-    ) -> (Vec<f64>, ChamberOutcome) {
-        let scratch = self.fresh_scratch(seed);
-        let (tx, rx) = mpsc::channel::<Vec<f64>>();
-        // A dedicated worker thread, abandoned on overrun — the closest
-        // safe-Rust analogue to killing the confined process. A hostile
-        // program that ignores the kill keeps its thread, but its output
-        // is discarded and it holds no capabilities to leak through.
-        let handle = std::thread::Builder::new()
-            .name(format!("gupt-chamber-{}", program.name()))
-            .spawn(move || {
-                let mut scratch = scratch;
-                let result = catch_unwind(AssertUnwindSafe(|| program.run(&block, &mut scratch)));
-                scratch.wipe();
-                if let Ok(out) = result {
-                    let _ = tx.send(out);
-                }
-                // On panic the sender is dropped: the receiver observes a
-                // disconnect and reports `Panicked`.
-            });
-        let handle = match handle {
-            Ok(h) => h,
-            Err(_) => return (fallback.to_vec(), ChamberOutcome::Panicked),
-        };
-
-        match rx.recv_timeout(budget) {
-            Ok(out) => {
-                // The worker is done (it sent before exiting); reap it.
-                let _ = handle.join();
-                (out, ChamberOutcome::Completed)
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Kill: abandon the worker, emit the in-range constant.
-                (fallback.to_vec(), ChamberOutcome::TimedOut)
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = handle.join();
-                (fallback.to_vec(), ChamberOutcome::Panicked)
-            }
-        }
+        let (mut reports, _) = dispatch(&self.policy, 1, program, vec![block], vec![seed], None);
+        reports.pop().expect("a dispatch reports every block")
     }
 }
 
@@ -224,13 +143,17 @@ fn normalize_arity(out: &mut Vec<f64>, dim: usize, fill: f64) {
 pub struct PoolTrace {
     /// Wall clock of the whole dispatch.
     pub wall: Duration,
-    /// Worker threads actually used (`min(workers, tasks)`).
+    /// Workers running at once (`min(workers, blocks)`).
     pub workers_used: usize,
-    /// Per-worker time spent inside chambers (unordered).
+    /// Per-worker time spent inside chambers (unordered; a killed
+    /// worker and its replacement each have an entry).
     pub busy: Vec<Duration>,
-    /// Task chunks taken from a peer's deque rather than the worker's
-    /// own — the load-balancing traffic of the work-stealing scheduler.
-    pub steals: u64,
+    /// Threads the dispatch started, replacements included. An
+    /// unbounded dispatch starts `workers_used − 1` helpers, since the
+    /// calling thread works too; a bounded one starts `workers_used`
+    /// workers plus one for each that was killed or died, so
+    /// `spawned > workers_used` means chambers were killed.
+    pub spawned: u64,
 }
 
 impl PoolTrace {
@@ -252,13 +175,8 @@ impl PoolTrace {
     }
 }
 
-/// A contiguous run of block indices: the unit of work-stealing. Chunks
-/// keep deque traffic off the per-block fast path while leaving enough
-/// granularity for thieves to balance uneven chambers.
-type Task = std::ops::Range<usize>;
-
 /// A pool of chambers executing many blocks in parallel under an
-/// [`ExecutionPolicy`], via work-stealing deques.
+/// [`ExecutionPolicy`].
 #[derive(Debug, Clone)]
 pub struct ChamberPool {
     policy: ChamberPolicy,
@@ -304,17 +222,6 @@ impl ChamberPool {
         &self.exec
     }
 
-    /// A pool with the same scheduling but a different chamber policy —
-    /// how per-query policy overrides (e.g. a deadline-derived execution
-    /// budget) are applied without touching the shared pool.
-    pub fn with_policy(&self, policy: ChamberPolicy) -> ChamberPool {
-        ChamberPool {
-            policy,
-            exec: self.exec.clone(),
-            workers: self.workers,
-        }
-    }
-
     /// A pool with the same chamber policy but a different execution
     /// policy — how per-query `.execution(..)` overrides and service
     /// worker-budget caps are applied.
@@ -334,155 +241,433 @@ impl ChamberPool {
 
     /// Like [`ChamberPool::run_all`], additionally returning a
     /// [`PoolTrace`] with the dispatch wall clock, per-worker busy
-    /// times and steal counts, for operator telemetry.
+    /// times and the threads started, for operator telemetry.
     pub fn run_all_traced(
         &self,
         program: &Arc<dyn BlockProgram>,
         views: Vec<BlockView>,
     ) -> (Vec<ChamberReport>, PoolTrace) {
-        self.run_all_traced_seeded(program, views, None)
+        self.run_all_traced_seeded(program, views, None, None)
     }
 
-    /// The full-featured dispatch: optionally threads a per-query seed
-    /// base through to the chambers (chamber `i` receives
-    /// [`chamber_seed`]`(base, i)` via its scratch space).
+    /// The full-featured dispatch. With a `seed_base`, chamber `i`
+    /// receives [`chamber_seed`]`(base, i)` via its scratch space. With
+    /// a `deadline`, the whole fan-out is bounded: a chamber still
+    /// running at that instant is killed, and a block no worker has
+    /// claimed by then reports the fallback as
+    /// [`ChamberOutcome::TimedOut`]. A chamber under both an execution
+    /// budget and a deadline is killed at whichever comes first.
     ///
-    /// Workers claim chunks of views by index and clone each view — an
-    /// O(1) pair of `Arc` bumps, never a row copy — so shipping work to
-    /// the pool costs the same regardless of γ or dataset size. Reports
-    /// land in per-block slots and are returned in block order: the
-    /// deterministic reduce that, together with pre-split seeds, makes
-    /// answers bit-identical to sequential execution.
+    /// Workers claim views by index — handing a view to a chamber is
+    /// an O(1) pair of `Arc` bumps, never a row copy — so shipping work
+    /// to the pool costs the same regardless of γ or dataset size.
+    /// Reports land in per-block slots and are returned in block order:
+    /// the deterministic reduce that, together with pre-split seeds,
+    /// makes answers bit-identical to sequential execution.
     pub fn run_all_traced_seeded(
         &self,
         program: &Arc<dyn BlockProgram>,
         views: Vec<BlockView>,
         seed_base: Option<u64>,
+        deadline: Option<Instant>,
     ) -> (Vec<ChamberReport>, PoolTrace) {
-        let n = views.len();
-        if n == 0 {
-            return (Vec::new(), PoolTrace::default());
-        }
-        let start = Instant::now();
-        let workers_used = self.workers.min(n);
+        let seeds = (0..views.len() as u64)
+            .map(|i| seed_base.map(|base| chamber_seed(base, i)))
+            .collect();
+        dispatch(
+            &self.policy,
+            self.workers,
+            Arc::clone(program),
+            views,
+            seeds,
+            deadline,
+        )
+    }
+}
 
-        // Sequential fast path: one worker (or one block) runs inline on
-        // the calling thread — no spawns, no deques, no slot locking.
-        // This keeps single-threaded policies (latency-sensitive serve
-        // paths, determinism baselines) free of scheduler overhead.
-        if workers_used == 1 {
-            let chamber = Chamber::new(self.policy.clone());
-            let mut busy = Duration::ZERO;
-            let reports: Vec<ChamberReport> = views
-                .into_iter()
-                .enumerate()
-                .map(|(i, view)| {
-                    let seed = seed_base.map(|b| chamber_seed(b, i as u64));
-                    let report = chamber.execute_seeded(Arc::clone(program), view, seed);
-                    busy += report.elapsed;
-                    report
+/// Runs `program` on every view under `policy` with up to `workers`
+/// workers, chamber `i` seeded with `seeds[i]`. See the module docs for
+/// how the workers are hosted.
+fn dispatch(
+    policy: &ChamberPolicy,
+    workers: usize,
+    program: Arc<dyn BlockProgram>,
+    views: Vec<BlockView>,
+    seeds: Vec<Option<u64>>,
+    deadline: Option<Instant>,
+) -> (Vec<ChamberReport>, PoolTrace) {
+    let n = views.len();
+    if n == 0 {
+        return (Vec::new(), PoolTrace::default());
+    }
+    let start = Instant::now();
+    let width = workers.clamp(1, n);
+    let watched = policy.execution_budget.is_some() || deadline.is_some();
+    let dispatch = Arc::new(Dispatch {
+        policy: policy.clone(),
+        dim: program.output_dimension(),
+        program,
+        views,
+        seeds,
+        deadline,
+        board: Mutex::new(Board {
+            next: 0,
+            slots: (0..n).map(|_| None).collect(),
+            open: n,
+            seats: Vec::new(),
+            watch_until: None,
+        }),
+        changed: Condvar::new(),
+    });
+    let spawned = if watched {
+        dispatch.watch(width)
+    } else {
+        dispatch.share(width)
+    };
+    // A killed worker may still hold the dispatch, but it never touches
+    // a slot again.
+    let mut board = dispatch.lock();
+    let reports = board
+        .slots
+        .iter_mut()
+        .map(|slot| {
+            slot.take()
+                .expect("every block is reported before the dispatch returns")
+        })
+        .collect();
+    let trace = PoolTrace {
+        wall: start.elapsed(),
+        workers_used: width,
+        busy: board.seats.iter().map(|seat| seat.busy).collect(),
+        spawned,
+    };
+    (reports, trace)
+}
+
+/// One dispatch's shared state. It is reference-counted so that an
+/// abandoned worker can keep it alive until its program returns.
+struct Dispatch {
+    policy: ChamberPolicy,
+    program: Arc<dyn BlockProgram>,
+    views: Vec<BlockView>,
+    seeds: Vec<Option<u64>>,
+    /// The program's declared output arity, read once.
+    dim: usize,
+    /// The kill instant of the whole fan-out.
+    deadline: Option<Instant>,
+    board: Mutex<Board>,
+    /// Signalled after a change the watchdog waits for has been made
+    /// under `board`.
+    changed: Condvar,
+}
+
+/// What the workers and the watchdog share, behind [`Dispatch::board`].
+struct Board {
+    /// The first block no worker has claimed.
+    next: usize,
+    /// Each block's report, filled exactly once.
+    slots: Vec<Option<ChamberReport>>,
+    /// Slots not yet filled.
+    open: usize,
+    /// One per thread that has worked on this dispatch.
+    seats: Vec<Seat>,
+    /// When the waiting watchdog wakes by itself (`None`: only when
+    /// notified). A worker whose chamber must be killed earlier
+    /// notifies it after the claim.
+    watch_until: Option<Instant>,
+}
+
+/// One worker's entry on the [`Board`].
+#[derive(Default)]
+struct Seat {
+    /// The block this worker's chamber is running, and since when.
+    running: Option<(usize, Instant)>,
+    /// The watchdog killed this worker: it may publish and claim
+    /// nothing more.
+    killed: bool,
+    /// The worker has left its loop.
+    exited: bool,
+    /// Time spent inside chambers.
+    busy: Duration,
+}
+
+impl Board {
+    /// Files `report` as `block`'s result.
+    fn fill(&mut self, block: usize, report: ChamberReport) {
+        debug_assert!(self.slots[block].is_none(), "block {block} reported twice");
+        self.slots[block] = Some(report);
+        self.open -= 1;
+    }
+
+    /// Files `report` for the chamber `seat` is running on `block`, and
+    /// charges its time to the seat.
+    fn publish(&mut self, seat: usize, block: usize, report: ChamberReport) {
+        let seat = &mut self.seats[seat];
+        seat.running = None;
+        seat.busy += report.elapsed;
+        self.fill(block, report);
+    }
+
+    /// Fills every unclaimed block's slot with `report()`.
+    fn close_unclaimed(&mut self, report: impl Fn() -> ChamberReport) {
+        while self.next < self.slots.len() {
+            let block = self.next;
+            self.next += 1;
+            self.fill(block, report());
+        }
+    }
+}
+
+impl Dispatch {
+    fn lock(&self) -> MutexGuard<'_, Board> {
+        // Every update under the lock leaves the board consistent, and a
+        // dying worker's `Exit` guard must still reach its seat.
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The fallback report: the policy's in-range constant.
+    fn fallback(&self, outcome: ChamberOutcome, elapsed: Duration) -> ChamberReport {
+        ChamberReport {
+            output: vec![self.policy.fallback_value; self.dim],
+            outcome,
+            elapsed,
+        }
+    }
+
+    /// When a chamber that started at `start` is killed: at the end of
+    /// its budget or at the deadline, whichever comes first.
+    fn kill_at(&self, start: Instant) -> Option<Instant> {
+        let by_budget = self
+            .policy
+            .execution_budget
+            .and_then(|budget| start.checked_add(budget));
+        by_budget.into_iter().chain(self.deadline).min()
+    }
+
+    /// Runs `block`'s chamber on this thread: a fresh scratch, panics
+    /// contained, output normalised to the declared arity.
+    fn run_chamber(&self, block: usize) -> (Vec<f64>, ChamberOutcome) {
+        let scratch = match self.policy.scratch_quota {
+            Some(quota) => Scratch::with_quota(quota),
+            None => Scratch::new(),
+        };
+        let mut scratch = match self.seeds[block] {
+            Some(seed) => scratch.with_seed(seed),
+            None => scratch,
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.program.run(&self.views[block], &mut scratch)
+        }));
+        scratch.wipe();
+        let (mut output, outcome) = match result {
+            Ok(output) => (output, ChamberOutcome::Completed),
+            Err(_) => (Vec::new(), ChamberOutcome::Panicked),
+        };
+        normalize_arity(&mut output, self.dim, self.policy.fallback_value);
+        (output, outcome)
+    }
+
+    /// A worker's loop on `seat`: claim the next block, run its
+    /// chamber, publish the report, sleep out any padding — until no
+    /// block is left, the deadline has passed, or the watchdog kills
+    /// the chamber.
+    fn work(&self, seat: usize) {
+        let _exit = Exit {
+            dispatch: self,
+            seat,
+        };
+        let pad = self
+            .policy
+            .execution_budget
+            .filter(|_| self.policy.pad_to_budget);
+        loop {
+            let (block, start, wake_watchdog) = {
+                let mut board = self.lock();
+                let start = Instant::now();
+                if board.next == self.views.len() || self.deadline.is_some_and(|d| start >= d) {
+                    return;
+                }
+                let block = board.next;
+                board.next += 1;
+                board.seats[seat].running = Some((block, start));
+                // The kill instant runs from `start`: the watchdog must
+                // hear of the claim unless it already wakes by then.
+                let wake = self
+                    .kill_at(start)
+                    .is_some_and(|kill| board.watch_until.is_none_or(|until| until > kill));
+                (block, start, wake)
+            };
+            if wake_watchdog {
+                self.changed.notify_one();
+            }
+            let (output, outcome) = self.run_chamber(block);
+            let ran = start.elapsed();
+            // A padded chamber occupies its whole budget: the worker
+            // sleeps out the rest after publishing.
+            let elapsed = pad.map_or(ran, |budget| ran.max(budget));
+            let done = {
+                let mut board = self.lock();
+                if board.seats[seat].killed {
+                    return;
+                }
+                let report = ChamberReport {
+                    output,
+                    outcome,
+                    elapsed,
+                };
+                board.publish(seat, block, report);
+                board.open == 0
+            };
+            if done {
+                self.changed.notify_one();
+            }
+            if let Some(rest) = pad.and_then(|budget| budget.checked_sub(ran)) {
+                thread::sleep(rest);
+            }
+        }
+    }
+
+    /// The unbounded dispatch: the calling thread works beside
+    /// `width − 1` scoped helpers. Returns the helpers started.
+    fn share(&self, width: usize) -> u64 {
+        self.lock().seats.resize_with(width, Seat::default);
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (1..width)
+                .filter_map(|seat| {
+                    thread::Builder::new()
+                        .spawn_scoped(scope, move || self.work(seat))
+                        .ok()
                 })
                 .collect();
-            let trace = PoolTrace {
-                wall: start.elapsed(),
-                workers_used: 1,
-                busy: vec![busy],
-                steals: 0,
-            };
-            return (reports, trace);
-        }
-
-        let chunk = self.exec.chunk_for(n, workers_used);
-        // Pre-split the index space into chunks and deal them round-robin
-        // onto per-worker deques: every worker starts with local work and
-        // only touches a peer's deque when its own runs dry.
-        let local: Vec<crossbeam::deque::Worker<Task>> = (0..workers_used)
-            .map(|_| crossbeam::deque::Worker::new_fifo())
-            .collect();
-        let stealers: Vec<crossbeam::deque::Stealer<Task>> = local
-            .iter()
-            .map(crossbeam::deque::Worker::stealer)
-            .collect();
-        for (t, task_start) in (0..n).step_by(chunk).enumerate() {
-            local[t % workers_used].push(task_start..(task_start + chunk).min(n));
-        }
-
-        let slots: Vec<Mutex<Option<ChamberReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let busy: Vec<Mutex<Duration>> = (0..workers_used)
-            .map(|_| Mutex::new(Duration::ZERO))
-            .collect();
-        let steals = AtomicU64::new(0);
-
-        crossbeam::thread::scope(|scope| {
-            let (views, slots, stealers, steals) = (&views, &slots, &stealers, &steals);
-            for (id, (queue, busy_slot)) in local.into_iter().zip(&busy).enumerate() {
-                scope.spawn(move |_| {
-                    let chamber = Chamber::new(self.policy.clone());
-                    let mut my_busy = Duration::ZERO;
-                    let mut run_task = |task: Task| {
-                        for i in task {
-                            let seed = seed_base.map(|b| chamber_seed(b, i as u64));
-                            let report =
-                                chamber.execute_seeded(Arc::clone(program), views[i].clone(), seed);
-                            my_busy += report.elapsed;
-                            *slots[i].lock().expect("report slot poisoned") = Some(report);
-                        }
-                    };
-                    // Drain local work first, then become a thief:
-                    // sweep the peers' deques until a full pass finds
-                    // them all empty (no tasks are produced after
-                    // start-up, so an all-empty pass is terminal).
-                    while let Some(task) = queue.pop() {
-                        run_task(task);
-                    }
-                    loop {
-                        let mut all_empty = true;
-                        for (peer, stealer) in stealers.iter().enumerate() {
-                            if peer == id {
-                                continue;
-                            }
-                            loop {
-                                match stealer.steal() {
-                                    crossbeam::deque::Steal::Success(task) => {
-                                        all_empty = false;
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        run_task(task);
-                                    }
-                                    crossbeam::deque::Steal::Empty => break,
-                                    crossbeam::deque::Steal::Retry => {
-                                        all_empty = false;
-                                    }
-                                }
-                            }
-                        }
-                        if all_empty {
-                            break;
-                        }
-                    }
-                    *busy_slot.lock().expect("busy slot poisoned") = my_busy;
-                });
+            self.work(0);
+            let spawned = helpers.len() as u64;
+            for helper in helpers {
+                // A helper that died has reported its block through its
+                // exit guard.
+                let _ = helper.join();
             }
+            spawned
         })
-        .expect("chamber pool worker panicked");
+    }
 
-        let trace = PoolTrace {
-            wall: start.elapsed(),
-            workers_used,
-            busy: busy
-                .into_iter()
-                .map(|m| m.into_inner().expect("busy slot poisoned"))
-                .collect(),
-            steals: steals.into_inner(),
-        };
-        let reports = slots
+    /// The bounded dispatch, run by the calling thread as watchdog: keep
+    /// `width` workers live while blocks are unclaimed, kill each
+    /// chamber at its kill instant, then reap every worker that was not
+    /// killed. Returns the threads started.
+    fn watch(self: &Arc<Self>, width: usize) -> u64 {
+        let n = self.views.len();
+        let mut workers = Vec::new();
+        let mut board = self.lock();
+        loop {
+            let now = Instant::now();
+            for seat in 0..board.seats.len() {
+                let Some((block, start)) = board.seats[seat].running else {
+                    continue;
+                };
+                if self.kill_at(start).is_some_and(|kill| now >= kill) {
+                    board.seats[seat].killed = true;
+                    let report = self.fallback(ChamberOutcome::TimedOut, now - start);
+                    board.publish(seat, block, report);
+                }
+            }
+            if self.deadline.is_some_and(|d| now >= d) {
+                board.close_unclaimed(|| self.fallback(ChamberOutcome::TimedOut, Duration::ZERO));
+            }
+            if board.open == 0 {
+                break;
+            }
+            // The first workers, and a replacement for each one killed or
+            // dead. A new worker cannot reach its seat before this
+            // thread releases the lock.
+            let mut live = board
+                .seats
+                .iter()
+                .filter(|s| !s.killed && !s.exited)
+                .count();
+            while live < width && board.next < n {
+                let seat = board.seats.len();
+                let worker = Arc::clone(self);
+                let spawn = thread::Builder::new()
+                    .name("gupt-chamber".into())
+                    .spawn(move || worker.work(seat));
+                let Ok(handle) = spawn else { break };
+                board.seats.push(Seat::default());
+                workers.push((seat, handle));
+                live += 1;
+            }
+            if live == 0 {
+                // No worker could be started, and none is running a
+                // chamber: the remaining blocks fail closed.
+                board.close_unclaimed(|| self.fallback(ChamberOutcome::Panicked, Duration::ZERO));
+                debug_assert_eq!(board.open, 0);
+                break;
+            }
+            // Sleep until the first kill instant, or until a worker
+            // reports a claim that must be killed sooner, the last
+            // report, or its exit.
+            let wake = board
+                .seats
+                .iter()
+                .filter_map(|seat| seat.running)
+                .filter_map(|(_, start)| self.kill_at(start))
+                .chain(self.deadline)
+                .min();
+            board.watch_until = wake;
+            board = match wake {
+                Some(at) => {
+                    let timeout = at.saturating_duration_since(Instant::now());
+                    self.changed
+                        .wait_timeout(board, timeout)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self
+                    .changed
+                    .wait(board)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+        }
+        let spawned = workers.len() as u64;
+        // Killed workers are abandoned. Every other worker has no block
+        // left and exits once its padding ends: joining it keeps the
+        // dispatch's wall time data-independent, and lets the thread
+        // finish exiting before the next dispatch starts workers, so
+        // the allocator does not give each new worker a fresh arena.
+        let live: Vec<_> = workers
             .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("report slot poisoned")
-                    .expect("worker left a block unprocessed")
-            })
+            .filter(|(seat, _)| !board.seats[*seat].killed)
+            .map(|(_, handle)| handle)
             .collect();
-        (reports, trace)
+        drop(board);
+        for handle in live {
+            // A worker that died has reported its block through its exit
+            // guard.
+            let _ = handle.join();
+        }
+        spawned
+    }
+}
+
+/// Marks a worker's seat exited however its thread leaves
+/// [`Dispatch::work`]. A worker that dies outside its chamber's
+/// `catch_unwind` still holds its block; the guard reports it as
+/// [`ChamberOutcome::Panicked`].
+struct Exit<'a> {
+    dispatch: &'a Dispatch,
+    seat: usize,
+}
+
+impl Drop for Exit<'_> {
+    fn drop(&mut self) {
+        let dispatch = self.dispatch;
+        let mut board = dispatch.lock();
+        board.seats[self.seat].exited = true;
+        if let Some((block, start)) = board.seats[self.seat].running {
+            let report = dispatch.fallback(ChamberOutcome::Panicked, start.elapsed());
+            board.publish(self.seat, block, report);
+        }
+        drop(board);
+        dispatch.changed.notify_one();
     }
 }
 
@@ -490,6 +675,8 @@ impl ChamberPool {
 mod tests {
     use super::*;
     use crate::program::ClosureProgram;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     fn sum_program() -> Arc<dyn BlockProgram> {
         Arc::new(ClosureProgram::new(1, |block: &BlockView| {
@@ -499,6 +686,32 @@ mod tests {
 
     fn view(rows: &[Vec<f64>]) -> BlockView {
         BlockView::from_rows(rows)
+    }
+
+    fn views(n: usize) -> Vec<BlockView> {
+        (0..n).map(|i| view(&[vec![i as f64]])).collect()
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned within `limit`, so a stalled dispatch fails instead of
+    /// hanging the suite.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let handle = thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(limit) {
+            Ok(value) => value,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("no return within {limit:?}"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("the thread sends before it returns"),
+            },
+        }
+    }
+
+    fn outcomes(reports: &[ChamberReport]) -> Vec<ChamberOutcome> {
+        reports.iter().map(|r| r.outcome).collect()
     }
 
     #[test]
@@ -667,17 +880,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_preserves_order_at_every_chunk_size() {
-        for chunk in [1usize, 2, 3, 5, 32, 100] {
-            let pool = ChamberPool::with_execution(
-                ChamberPolicy::unbounded(),
-                ExecutionPolicy::parallel(4).chunk(chunk),
-            );
+    fn pool_preserves_order_at_every_width() {
+        for width in [1usize, 2, 3, 5, 32, 100] {
+            let pool = ChamberPool::new(ChamberPolicy::unbounded(), width);
             let views: Vec<BlockView> = (0..33).map(|i| view(&[vec![i as f64]])).collect();
             let reports = pool.run_all(&sum_program(), views);
-            assert_eq!(reports.len(), 33, "chunk {chunk}");
+            assert_eq!(reports.len(), 33, "width {width}");
             for (i, r) in reports.iter().enumerate() {
-                assert_eq!(r.output, vec![i as f64], "chunk {chunk}, block {i}");
+                assert_eq!(r.output, vec![i as f64], "width {width}, block {i}");
             }
         }
     }
@@ -752,7 +962,10 @@ mod tests {
         let (reports, trace) = pool.run_all_traced(&sum_program(), vec![view(&[vec![1.0]])]);
         assert_eq!(reports.len(), 1);
         assert_eq!(trace.workers_used, 1);
-        assert_eq!(trace.steals, 0, "single block runs on the fast path");
+        assert_eq!(
+            trace.spawned, 0,
+            "a single block runs on the calling thread"
+        );
     }
 
     #[test]
@@ -773,27 +986,27 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_one_slow_chamber() {
-        // All the slow blocks are dealt to worker 0's deque (chunk 1,
-        // round-robin over 2 workers puts even indices there); the idle
-        // peer must steal to finish in ~half the sequential time — the
-        // trace proves stealing happened.
+    fn one_slow_block_does_not_strand_the_rest() {
+        // Block 0 takes 400 ms and the other four 80 ms each. Claiming
+        // from one cursor, the second worker drains all four while the
+        // first is stuck, so the dispatch takes ~400 ms. Any schedule
+        // fixed before the fan-out hands the slow worker at least one
+        // more block: ≥ 480 ms.
         let p: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
-            if b.row(0)[0] % 2.0 == 0.0 {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            let ms = if b.row(0)[0] == 0.0 { 400 } else { 80 };
+            std::thread::sleep(Duration::from_millis(ms));
             vec![b.row(0)[0]]
         }));
-        let pool = ChamberPool::with_execution(
-            ChamberPolicy::unbounded(),
-            ExecutionPolicy::parallel(2).chunk(1),
-        );
-        let views: Vec<BlockView> = (0..8).map(|i| view(&[vec![i as f64]])).collect();
-        let (reports, trace) = pool.run_all_traced(&p, views);
+        let pool = ChamberPool::new(ChamberPolicy::unbounded(), 2);
+        let (reports, trace) = pool.run_all_traced(&p, views(5));
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.output, vec![i as f64]);
         }
-        assert!(trace.steals > 0, "idle worker must have stolen tasks");
+        assert!(
+            trace.wall < Duration::from_millis(440),
+            "one slow block stranded the rest: {:?}",
+            trace.wall
+        );
     }
 
     #[test]
@@ -815,9 +1028,9 @@ mod tests {
         let run = |threads: usize| -> Vec<u64> {
             let pool = ChamberPool::with_execution(
                 ChamberPolicy::unbounded(),
-                ExecutionPolicy::parallel(threads).chunk(1),
+                ExecutionPolicy::parallel(threads),
             );
-            pool.run_all_traced_seeded(&p, views(), Some(0xDEAD_BEEF))
+            pool.run_all_traced_seeded(&p, views(), Some(0xDEAD_BEEF), None)
                 .0
                 .into_iter()
                 .map(|r| r.output[0].to_bits())
@@ -834,5 +1047,253 @@ mod tests {
         let wide = pool.with_execution_policy(ExecutionPolicy::parallel(6));
         assert_eq!(wide.workers(), 6);
         assert_eq!(wide.policy().fallback_value, 3.5);
+    }
+
+    #[test]
+    fn spawned_counts_every_thread_started() {
+        let bounded = ChamberPolicy::bounded(Duration::from_millis(300), 0.0).without_padding();
+        let (reports, trace) = within(Duration::from_secs(10), move || {
+            ChamberPool::new(bounded, 1).run_all_traced(&sum_program(), views(100))
+        });
+        assert_eq!(trace.spawned, 1, "one worker for 100 bounded blocks");
+        assert!(outcomes(&reports)
+            .iter()
+            .all(|o| *o == ChamberOutcome::Completed));
+
+        // Block 0 overruns: its worker is killed and one replacement
+        // runs the other 99 blocks.
+        let hostile: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
+            if b.row(0)[0] == 0.0 {
+                thread::sleep(Duration::from_secs(2));
+            }
+            vec![b.row(0)[0]]
+        }));
+        let bounded = ChamberPolicy::bounded(Duration::from_millis(100), 0.0).without_padding();
+        let (reports, trace) = within(Duration::from_secs(10), move || {
+            ChamberPool::new(bounded, 1).run_all_traced(&hostile, views(100))
+        });
+        assert_eq!(trace.spawned, 2);
+        let timed_out = outcomes(&reports)
+            .iter()
+            .filter(|o| **o == ChamberOutcome::TimedOut)
+            .count();
+        assert_eq!(timed_out, 1);
+        assert_eq!(reports[0].outcome, ChamberOutcome::TimedOut);
+
+        let unbounded = ChamberPool::new(ChamberPolicy::unbounded(), 1);
+        assert_eq!(
+            unbounded
+                .run_all_traced(&sum_program(), views(10))
+                .1
+                .spawned,
+            0
+        );
+        let unbounded = ChamberPool::new(ChamberPolicy::unbounded(), 4);
+        assert_eq!(
+            unbounded
+                .run_all_traced(&sum_program(), views(10))
+                .1
+                .spawned,
+            3
+        );
+    }
+
+    #[test]
+    fn watchdog_kills_and_continues() {
+        // Block 0 sleeps past the 200 ms budget and is killed at ~200 ms;
+        // its replacement runs blocks 1–3 (100 ms each) until ~500 ms.
+        // Block 0's program returns at ~350 ms, while block 3 is still
+        // unclaimed: a killed worker that kept claiming would take it.
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let woke = Arc::new(AtomicUsize::new(0));
+        let program: Arc<dyn BlockProgram> = {
+            let (runs, woke) = (Arc::clone(&runs), Arc::clone(&woke));
+            Arc::new(ClosureProgram::new(1, move |b: &BlockView| {
+                let block = b.row(0)[0] as usize;
+                runs.lock().unwrap().push((block, thread::current().id()));
+                if block == 0 {
+                    thread::sleep(Duration::from_millis(350));
+                    woke.store(1, Ordering::SeqCst);
+                } else {
+                    thread::sleep(Duration::from_millis(100));
+                }
+                vec![block as f64]
+            }))
+        };
+        let policy = ChamberPolicy::bounded(Duration::from_millis(200), -1.0).without_padding();
+        let (reports, trace) = within(Duration::from_secs(10), move || {
+            ChamberPool::new(policy, 1).run_all_traced(&program, views(4))
+        });
+        use ChamberOutcome::{Completed, TimedOut};
+        assert_eq!(
+            outcomes(&reports),
+            vec![TimedOut, Completed, Completed, Completed]
+        );
+        assert_eq!(reports[0].output, vec![-1.0]);
+        assert_eq!(trace.spawned, 2);
+
+        let hostile_end = Instant::now() + Duration::from_secs(5);
+        while woke.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < hostile_end, "hostile sleep never ended");
+            thread::sleep(Duration::from_millis(5));
+        }
+        // Give the killed worker time to misbehave, then check it did not.
+        thread::sleep(Duration::from_millis(50));
+        let runs = runs.lock().unwrap();
+        assert_eq!(runs.len(), 4, "invocations: {runs:?}");
+        let killed = runs[0].1;
+        assert!(
+            runs[1..].iter().all(|(_, id)| *id != killed),
+            "the killed worker claimed another block: {runs:?}"
+        );
+    }
+
+    #[test]
+    fn long_sleep_is_cut_at_the_budget() {
+        // The abandoned thread sleeps on; a spinning program would burn
+        // a core for the rest of the suite.
+        let sleeper: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |_: &BlockView| {
+            thread::sleep(Duration::from_secs(60));
+            vec![1.0]
+        }));
+        let chamber =
+            Chamber::new(ChamberPolicy::bounded(Duration::from_millis(50), 0.0).without_padding());
+        let start = Instant::now();
+        let report = within(Duration::from_secs(10), move || {
+            chamber.execute(sleeper, view(&[vec![0.0]]))
+        });
+        assert_eq!(report.outcome, ChamberOutcome::TimedOut);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn padded_dispatch_time_is_data_independent() {
+        let budget = Duration::from_millis(40);
+        let program = |sleep_ms: u64| -> Arc<dyn BlockProgram> {
+            Arc::new(ClosureProgram::new(1, move |_: &BlockView| {
+                thread::sleep(Duration::from_millis(sleep_ms));
+                vec![1.0]
+            }))
+        };
+        for width in [1usize, 2] {
+            let wall = |p: Arc<dyn BlockProgram>| {
+                let pool = ChamberPool::new(ChamberPolicy::bounded(budget, 0.0), width);
+                within(Duration::from_secs(10), move || {
+                    pool.run_all_traced(&p, views(4)).1.wall
+                })
+            };
+            let (fast, slow) = (wall(program(0)), wall(program(25)));
+            let floor = budget * (4 / width as u32);
+            assert!(
+                fast >= floor && slow >= floor,
+                "{fast:?} {slow:?} < {floor:?}"
+            );
+            let diff = fast.abs_diff(slow);
+            assert!(
+                diff < Duration::from_millis(25),
+                "width {width}: diff = {diff:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn deadline_bounds_the_whole_fan_out() {
+        // Eight 150 ms blocks on one worker under a 300 ms deadline:
+        // two complete, the third is killed at the deadline and the rest
+        // are never claimed.
+        let program: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
+            thread::sleep(Duration::from_millis(150));
+            vec![b.row(0)[0]]
+        }));
+        let start = Instant::now();
+        let deadline = start + Duration::from_millis(300);
+        let (reports, _) = within(Duration::from_secs(10), move || {
+            let pool = ChamberPool::new(ChamberPolicy::unbounded().with_fallback(9.0), 1);
+            pool.run_all_traced_seeded(&program, views(8), None, Some(deadline))
+        });
+        assert!(
+            start.elapsed() < Duration::from_millis(600),
+            "{:?}",
+            start.elapsed()
+        );
+        let timed_out: Vec<&ChamberReport> = reports
+            .iter()
+            .filter(|r| r.outcome == ChamberOutcome::TimedOut)
+            .collect();
+        assert!(timed_out.len() >= 6, "{:?}", outcomes(&reports));
+        assert!(timed_out.iter().all(|r| r.output == vec![9.0]));
+        assert_eq!(reports[0].outcome, ChamberOutcome::Completed);
+    }
+
+    #[test]
+    fn dead_worker_releases_its_block_as_panicked() {
+        // A panic payload whose destructor panics escapes the chamber's
+        // `catch_unwind` when the worker drops it, killing the worker.
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                panic!("payload destructor");
+            }
+        }
+        let program: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
+            if b.row(0)[0] == 1.0 {
+                std::panic::panic_any(Bomb);
+            }
+            vec![b.row(0)[0]]
+        }));
+        let policy = ChamberPolicy::bounded(Duration::from_secs(5), 7.0).without_padding();
+        let (reports, trace) = within(Duration::from_secs(10), move || {
+            ChamberPool::new(policy, 1).run_all_traced(&program, views(3))
+        });
+        use ChamberOutcome::{Completed, Panicked};
+        assert_eq!(outcomes(&reports), vec![Completed, Panicked, Completed]);
+        assert_eq!(reports[1].output, vec![7.0]);
+        assert_eq!(trace.spawned, 2, "the dead worker is replaced");
+    }
+
+    #[test]
+    fn stress_many_small_dispatches() {
+        // Every dispatch must return; a lost wakeup would stall one, so
+        // each is checked against the timer on the test thread.
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            for i in 0..10_000usize {
+                let width = 1 + i % 4;
+                let blocks = 1 + i % 7;
+                let policy = if i % 2 == 0 {
+                    ChamberPolicy::bounded(Duration::from_secs(5), 0.0).without_padding()
+                } else {
+                    ChamberPolicy::unbounded()
+                };
+                let (reports, trace) =
+                    ChamberPool::new(policy, width).run_all_traced(&sum_program(), views(blocks));
+                let ok = reports
+                    .iter()
+                    .enumerate()
+                    .all(|(b, r)| r.outcome == ChamberOutcome::Completed && r.output == [b as f64]);
+                let expected_spawns = width.min(blocks) - usize::from(i % 2 == 1);
+                if tx
+                    .send((i, ok, trace.spawned == expected_spawns as u64))
+                    .is_err()
+                {
+                    return;
+                }
+            }
+        });
+        for _ in 0..10_000 {
+            let (i, ok, spawns) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a dispatch stalled");
+            assert!(ok, "dispatch {i} misreported");
+            assert!(
+                spawns,
+                "dispatch {i} started an unexpected number of threads"
+            );
+        }
+        runner.join().unwrap();
     }
 }

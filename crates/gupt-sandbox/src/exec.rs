@@ -5,8 +5,7 @@
 //! construction (§4) — and the paper scales it by adding machines
 //! (Fig. 6). [`ExecutionPolicy`] is the in-process analogue of that
 //! cluster-sizing knob: one first-class, forward-compatible value that
-//! says how many workers a query's chambers fan out across and how
-//! blocks are chunked into steal-able tasks.
+//! says how many workers a query's chambers fan out across.
 //!
 //! The policy deliberately does **not** influence answers. Per-chamber
 //! randomness is split from the per-query seed *before* fan-out
@@ -27,46 +26,30 @@ pub struct ExecutionPolicy {
     /// Worker threads for chamber fan-out. `0` means "auto": resolve to
     /// the machine's available parallelism at pool construction.
     pub threads: usize,
-    /// Contiguous block indices bundled into one steal-able task.
-    /// `0` means "auto": sized so each worker sees a handful of tasks.
-    pub chunk: usize,
 }
 
 impl ExecutionPolicy {
     /// Single-threaded execution: chambers run inline on the calling
     /// thread, in block order, with no worker threads spawned.
     pub fn sequential() -> ExecutionPolicy {
-        ExecutionPolicy {
-            threads: 1,
-            chunk: 0,
-        }
+        ExecutionPolicy { threads: 1 }
     }
 
     /// Parallel execution across `threads` workers (clamped to ≥ 1).
     pub fn parallel(threads: usize) -> ExecutionPolicy {
         ExecutionPolicy {
             threads: threads.max(1),
-            chunk: 0,
         }
     }
 
     /// Parallel execution sized to the machine at pool construction.
     pub fn auto() -> ExecutionPolicy {
-        ExecutionPolicy {
-            threads: 0,
-            chunk: 0,
-        }
+        ExecutionPolicy { threads: 0 }
     }
 
     /// Sets the worker-thread count (`0` = auto).
     pub fn threads(mut self, threads: usize) -> ExecutionPolicy {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the task chunk size (`0` = auto).
-    pub fn chunk(mut self, chunk: usize) -> ExecutionPolicy {
-        self.chunk = chunk;
         self
     }
 
@@ -91,18 +74,6 @@ impl ExecutionPolicy {
         out.threads = self.effective_threads().min(cap);
         out
     }
-
-    /// The task chunk size for an `n`-block fan-out across `workers`.
-    ///
-    /// Auto-chunking targets ~4 tasks per worker so stealing has slack
-    /// to balance uneven chambers without paying per-block queue
-    /// traffic.
-    pub fn chunk_for(&self, n: usize, workers: usize) -> usize {
-        if self.chunk > 0 {
-            return self.chunk;
-        }
-        (n / (workers.max(1) * 4)).max(1)
-    }
 }
 
 impl Default for ExecutionPolicy {
@@ -123,7 +94,7 @@ pub fn mix64(mut z: u64) -> u64 {
 ///
 /// Seeds are split *before* fan-out — a pure function of (query seed,
 /// block index) — so a randomized program observes the same stream for
-/// block `i` whether the block runs first, last, stolen, or inline.
+/// block `i` whichever worker claims it, and whenever.
 /// This is the interleaving-independence half of the determinism
 /// contract (the other half is the index-ordered reduce).
 pub fn chamber_seed(base: u64, index: u64) -> u64 {
@@ -146,9 +117,8 @@ mod tests {
 
     #[test]
     fn builder_refines_fields() {
-        let p = ExecutionPolicy::parallel(4).chunk(3);
-        assert_eq!(p.threads, 4);
-        assert_eq!(p.chunk, 3);
+        let p = ExecutionPolicy::parallel(4).threads(3);
+        assert_eq!(p.threads, 3);
         assert_eq!(ExecutionPolicy::default(), ExecutionPolicy::auto());
     }
 
@@ -160,15 +130,6 @@ mod tests {
         // Auto resolves first, then caps.
         let capped = ExecutionPolicy::auto().capped_at(1);
         assert_eq!(capped.threads, 1);
-    }
-
-    #[test]
-    fn auto_chunk_scales_with_fanout() {
-        let p = ExecutionPolicy::parallel(4);
-        assert_eq!(p.chunk_for(64, 4), 4);
-        assert_eq!(p.chunk_for(3, 4), 1);
-        assert_eq!(p.chunk_for(0, 4), 1);
-        assert_eq!(p.clone().chunk(7).chunk_for(64, 4), 7);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!   constant fallback, panic containment, and optional padding so every
 //!   execution consumes the full budget — making the runtime
 //!   data-independent (the timing-attack defense of §6.2).
-//! - [`chamber::ChamberPool`] fans blocks out across a work-stealing
-//!   worker pool sized by an [`exec::ExecutionPolicy`], one fresh
-//!   chamber per block (the paper's cluster parallelism, §1), with
-//!   per-chamber seeds split before fan-out and an index-ordered
-//!   reduce so answers are independent of thread interleaving.
+//! - [`chamber::ChamberPool`] fans blocks out across workers sized by an
+//!   [`exec::ExecutionPolicy`] that claim blocks from one shared cursor,
+//!   one fresh chamber per block (the paper's cluster parallelism, §1);
+//!   under a kill bound the calling thread watches the workers. Seeds
+//!   are split per chamber before fan-out and the reduce is
+//!   index-ordered, so answers are independent of thread interleaving.
 //! - [`attacks`] packages the three adversarial programs used by the
 //!   Table 1 comparison and the security test-suite.
 

@@ -61,16 +61,6 @@ impl ChamberPolicy {
         self
     }
 
-    /// Sets the execution budget, leaving padding as-is. The query
-    /// service uses this to derive a kill bound from a query deadline on
-    /// policies that left the budget unset — padding stays off there, as
-    /// a deadline-derived bound varies per query and padding to it would
-    /// not be constant-time anyway.
-    pub fn with_execution_budget(mut self, budget: Duration) -> Self {
-        self.execution_budget = Some(budget);
-        self
-    }
-
     /// Overrides the fallback constant.
     pub fn with_fallback(mut self, value: f64) -> Self {
         self.fallback_value = value;
@@ -118,13 +108,6 @@ mod tests {
         assert!(!p.pad_to_budget);
         assert_eq!(p.fallback_value, 9.0);
         assert_eq!(p.scratch_quota, Some(1024));
-    }
-
-    #[test]
-    fn with_execution_budget_keeps_padding_flag() {
-        let p = ChamberPolicy::unbounded().with_execution_budget(Duration::from_millis(7));
-        assert_eq!(p.execution_budget, Some(Duration::from_millis(7)));
-        assert!(!p.pad_to_budget);
     }
 
     #[test]

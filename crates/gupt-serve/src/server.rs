@@ -197,13 +197,11 @@ impl ServerHandle {
 
     /// Requests shutdown and joins every thread.
     pub fn shutdown(mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
         self.teardown();
     }
 
     fn teardown(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue_cv.notify_all();
+        request_shutdown(&self.state);
         // Unblock the acceptor with a loopback connection.
         let _ = TcpStream::connect(self.addr);
         // Sever active connections so no worker stays blocked in a read.
@@ -229,6 +227,18 @@ impl Drop for ServerHandle {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Sets the shutdown flag and wakes every idle worker. The flag is set
+/// under the queue lock: a worker reads it under that lock before it
+/// waits, so a notify can no longer land between its check and its
+/// wait and be lost, leaving the worker asleep and `teardown` blocked
+/// joining it.
+fn request_shutdown(state: &ServeState) {
+    let queue = lock(&state.queue);
+    state.shutdown.store(true, Ordering::SeqCst);
+    drop(queue);
+    state.queue_cv.notify_all();
 }
 
 fn worker_loop(state: &Arc<ServeState>) {
@@ -277,7 +287,7 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
         };
         state.in_flight.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let (response, ok, request_shutdown) = handle_request(state, &payload);
+        let (response, ok, shutdown_requested) = handle_request(state, &payload);
         let elapsed_us = start.elapsed().as_micros() as u64;
         state.in_flight.fetch_sub(1, Ordering::Relaxed);
         lock(&state.latencies_us).push(elapsed_us);
@@ -289,9 +299,8 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
         if write_frame(&mut stream, &response).is_err() {
             break;
         }
-        if request_shutdown {
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue_cv.notify_all();
+        if shutdown_requested {
+            request_shutdown(state);
             break;
         }
     }
@@ -1576,6 +1585,39 @@ mod tests {
             .unwrap();
         assert_eq!(resp.get("status").unwrap().as_str(), Some("bad_request"));
         server.shutdown();
+    }
+
+    #[test]
+    fn teardown_never_stalls_across_many_cycles() {
+        // Bind, connect two clients, drop them and shut down, many times.
+        // A shutdown notify lost between a worker's flag check and its
+        // wait leaves the worker asleep and `shutdown` blocked joining
+        // it, so every cycle is checked against a timer.
+        const CYCLES: usize = 10_000;
+        let template = test_server(1.0, &[]);
+        let service = template.state.service.clone();
+        template.shutdown();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = thread::spawn(move || {
+            for cycle in 0..CYCLES {
+                let server =
+                    GuptServer::bind(service.clone(), "127.0.0.1:0", ServeConfig::new(2)).unwrap();
+                let clients = (
+                    ServeClient::connect(server.addr()).unwrap(),
+                    ServeClient::connect(server.addr()).unwrap(),
+                );
+                drop(clients);
+                server.shutdown();
+                if tx.send(cycle).is_err() {
+                    return;
+                }
+            }
+        });
+        for _ in 0..CYCLES {
+            let cycle = rx.recv_timeout(Duration::from_secs(5));
+            assert!(cycle.is_ok(), "a bind/connect/shutdown cycle stalled");
+        }
+        runner.join().unwrap();
     }
 
     #[test]

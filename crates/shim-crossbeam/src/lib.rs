@@ -1,165 +1,13 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! The workspace uses two slices of crossbeam:
-//!
-//! - `crossbeam::thread::scope` for structured fork/join parallelism;
-//!   since Rust 1.63 the standard library provides the same capability,
-//!   so [`thread`] is a thin adapter over [`std::thread::scope`] that
-//!   preserves crossbeam's call shape (`scope(|s| { s.spawn(|_| …); })`
-//!   returning a `Result`).
-//! - `crossbeam::deque` for work-stealing schedulers. [`deque`]
-//!   reproduces the `Worker`/`Stealer`/`Steal` API in safe Rust over a
-//!   locked `VecDeque` — correctness-compatible with the lock-free
-//!   original, with coarser contention behaviour that is irrelevant at
-//!   chamber-task granularity.
+//! It provides `crossbeam::thread::scope` for structured fork/join
+//! parallelism. Since Rust 1.63 the standard library provides the same
+//! capability, so [`thread`] is a thin adapter over
+//! [`std::thread::scope`] that preserves crossbeam's call shape
+//! (`scope(|s| { s.spawn(|_| …); })` returning a `Result`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Work-stealing double-ended queues compatible with `crossbeam::deque`.
-///
-/// Each worker thread owns a [`Worker`](deque::Worker) it pushes and
-/// pops locally (LIFO or FIFO); other threads hold
-/// [`Stealer`](deque::Stealer) handles and take work from the opposite
-/// end. The shim backs both with one mutexed `VecDeque`, so every
-/// operation is linearizable; [`Steal::Retry`](deque::Steal::Retry) is
-/// reserved for lock-poisoning (a panicking peer), which callers treat
-/// exactly like crossbeam's transient contention signal.
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Which end [`Worker::pop`] takes from.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Flavor {
-        /// Pop the most recently pushed task (depth-first).
-        Lifo,
-        /// Pop the least recently pushed task (breadth-first).
-        Fifo,
-    }
-
-    /// The owner side of a work-stealing deque.
-    #[derive(Debug)]
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-        flavor: Flavor,
-    }
-
-    impl<T> Worker<T> {
-        /// A deque whose owner pops the most recently pushed task.
-        pub fn new_lifo() -> Worker<T> {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-                flavor: Flavor::Lifo,
-            }
-        }
-
-        /// A deque whose owner pops the least recently pushed task.
-        pub fn new_fifo() -> Worker<T> {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-                flavor: Flavor::Fifo,
-            }
-        }
-
-        /// Pushes a task onto the owner's end.
-        pub fn push(&self, task: T) {
-            self.queue.lock().expect("deque poisoned").push_back(task);
-        }
-
-        /// Pops a task from the owner's end (`None` when empty).
-        pub fn pop(&self) -> Option<T> {
-            let mut q = self.queue.lock().expect("deque poisoned");
-            match self.flavor {
-                Flavor::Lifo => q.pop_back(),
-                Flavor::Fifo => q.pop_front(),
-            }
-        }
-
-        /// Whether the deque is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().expect("deque poisoned").is_empty()
-        }
-
-        /// Number of tasks currently queued.
-        pub fn len(&self) -> usize {
-            self.queue.lock().expect("deque poisoned").len()
-        }
-
-        /// A stealer handle other threads can take work through.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    /// The thief side of a work-stealing deque; clone freely.
-    #[derive(Debug)]
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals the task at the opposite end from the owner's pops.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock() {
-                Ok(mut q) => match q.pop_front() {
-                    Some(task) => Steal::Success(task),
-                    None => Steal::Empty,
-                },
-                // A poisoned lock means a peer panicked mid-operation;
-                // report the crossbeam "try again" signal rather than
-                // propagating the panic into every thief.
-                Err(_) => Steal::Retry,
-            }
-        }
-
-        /// Whether the deque is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().map(|q| q.is_empty()).unwrap_or(true)
-        }
-    }
-
-    /// Outcome of a [`Stealer::steal`] attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The deque was empty.
-        Empty,
-        /// A task was stolen.
-        Success(T),
-        /// The attempt lost a race; try again.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// The stolen task, if the attempt succeeded.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(task) => Some(task),
-                _ => None,
-            }
-        }
-
-        /// Whether the deque was observed empty.
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-
-        /// Whether the attempt should be retried.
-        pub fn is_retry(&self) -> bool {
-            matches!(self, Steal::Retry)
-        }
-    }
-}
 
 /// Scoped-thread API compatible with `crossbeam::thread`.
 pub mod thread {
@@ -230,89 +78,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(counter.load(Ordering::Relaxed), 1);
-    }
-
-    mod deque {
-        use crate::deque::{Steal, Worker};
-
-        #[test]
-        fn lifo_owner_pops_newest() {
-            let w = Worker::new_lifo();
-            w.push(1);
-            w.push(2);
-            assert_eq!(w.pop(), Some(2));
-            assert_eq!(w.pop(), Some(1));
-            assert_eq!(w.pop(), None);
-        }
-
-        #[test]
-        fn fifo_owner_pops_oldest() {
-            let w = Worker::new_fifo();
-            w.push(1);
-            w.push(2);
-            assert_eq!(w.pop(), Some(1));
-            assert_eq!(w.pop(), Some(2));
-        }
-
-        #[test]
-        fn stealer_takes_from_opposite_end() {
-            let w = Worker::new_lifo();
-            let s = w.stealer();
-            w.push(1);
-            w.push(2);
-            // Owner would pop 2; the thief takes the oldest task, 1.
-            assert_eq!(s.steal(), Steal::Success(1));
-            assert_eq!(w.pop(), Some(2));
-            assert!(s.steal().is_empty());
-        }
-
-        #[test]
-        fn steal_from_empty_reports_empty() {
-            let w: Worker<u32> = Worker::new_lifo();
-            let s = w.stealer();
-            assert!(s.is_empty());
-            assert_eq!(s.steal(), Steal::Empty);
-            assert_eq!(s.steal().success(), None);
-        }
-
-        #[test]
-        fn len_and_is_empty_track_contents() {
-            let w = Worker::new_fifo();
-            assert!(w.is_empty());
-            w.push(7);
-            w.push(8);
-            assert_eq!(w.len(), 2);
-            assert!(!w.is_empty());
-        }
-
-        #[test]
-        fn concurrent_workers_drain_everything_exactly_once() {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            const TASKS: usize = 10_000;
-            let owner = Worker::new_lifo();
-            for i in 0..TASKS {
-                owner.push(i);
-            }
-            let taken = AtomicUsize::new(0);
-            let sum = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    let s = owner.stealer();
-                    let (taken, sum) = (&taken, &sum);
-                    scope.spawn(move || loop {
-                        match s.steal() {
-                            Steal::Success(v) => {
-                                taken.fetch_add(1, Ordering::Relaxed);
-                                sum.fetch_add(v, Ordering::Relaxed);
-                            }
-                            Steal::Empty => break,
-                            Steal::Retry => {}
-                        }
-                    });
-                }
-            });
-            assert_eq!(taken.load(Ordering::Relaxed), TASKS);
-            assert_eq!(sum.load(Ordering::Relaxed), TASKS * (TASKS - 1) / 2);
-        }
     }
 }
