@@ -18,7 +18,8 @@
 //! claim blocks from a shared cursor, and when chambers can be killed
 //! (an execution budget, or a service deadline) the calling thread
 //! watches a few worker threads rather than starting one per block. A
-//! service deadline bounds the whole fan-out, not each chamber.
+//! service deadline bounds the whole fan-out: it is split into one equal
+//! per-chamber budget before any chamber starts.
 
 use gupt_sandbox::view::{BlockView, RowStore};
 use gupt_sandbox::{
@@ -123,11 +124,12 @@ impl ComputationManager {
     /// bit-identical at any thread count.
     ///
     /// When `deadline` is set *and* the pool's policy has no execution
-    /// budget of its own, the deadline bounds the whole fan-out: a
-    /// chamber still running at that instant is killed, and a block not
-    /// yet started reports the fallback as timed out. An explicitly
-    /// configured budget always wins — the owner's §6.2 timing-attack
-    /// bound is not loosened by a lenient query deadline.
+    /// budget of its own, the deadline bounds the whole fan-out: the
+    /// time left is split into one equal budget per round of chambers
+    /// before any starts, and a chamber that overruns its share is
+    /// killed (see [`ChamberPool::run_all_traced_seeded`]). An
+    /// explicitly configured budget always wins — the owner's §6.2
+    /// timing-attack bound is not loosened by a lenient query deadline.
     pub fn execute_blocks_planned(
         &self,
         program: &Arc<dyn BlockProgram>,

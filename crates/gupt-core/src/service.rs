@@ -263,11 +263,14 @@ impl QueryService {
     /// Runs one query, waiting at most `deadline` for admission. The
     /// deadline bounds queue wait *and* in-chamber work: when the
     /// runtime's chamber policy carries no `execution_budget` of its
-    /// own, the deadline bounds the whole chamber fan-out — a chamber
-    /// still running when it passes is killed, and a block not yet
-    /// started reports the fallback as timed out — so a deadline
-    /// actually bounds end-to-end latency instead of only the wait for
-    /// a slot. An explicitly configured chamber budget always wins — a
+    /// own, the deadline bounds the whole chamber fan-out — what is left
+    /// of it after admission is split into one equal budget per round
+    /// of chambers, and a chamber that overruns its share is killed —
+    /// so a deadline actually bounds end-to-end latency instead of only
+    /// the wait for a slot. Each chamber's kill depends only on its own
+    /// run, never on how long the blocks before it ran, so a slow block
+    /// cannot turn others into the fallback. An explicitly configured
+    /// chamber budget always wins — a
     /// lenient deadline never loosens the owner's §6.2 timing bound.
     /// Budget is charged exactly when execution starts, so an abandoned
     /// wait provably spends nothing.
@@ -623,8 +626,8 @@ mod tests {
     fn deadline_bounds_the_whole_fan_out() {
         use gupt_sandbox::ClosureProgram;
         // Eight 150 ms chambers in sequence under a 300 ms deadline: the
-        // deadline bounds the fan-out, not each chamber, so the query
-        // returns near 300 ms with the unfinished blocks timed out.
+        // deadline bounds the fan-out, not each chamber, so each gets a
+        // ~37 ms share and the query returns near 300 ms, timed out.
         let rows: Vec<Vec<f64>> = (0..400).map(|i| vec![(i % 50) as f64]).collect();
         let runtime = GuptRuntimeBuilder::new()
             .register_dataset("t", rows, eps(100.0))
@@ -651,6 +654,41 @@ mod tests {
         assert_eq!(answer.num_blocks, 8);
         assert!(took < Duration::from_millis(600), "took {took:?}");
         assert!(answer.execution.timed_out >= 6, "{:?}", answer.execution);
+    }
+
+    #[test]
+    fn a_stalling_block_under_a_deadline_times_out_alone() {
+        use gupt_sandbox::ClosureProgram;
+        // A program that stalls only on the block holding one target
+        // record: that block is killed at its share of the deadline and
+        // every other block still completes, so the record moves one
+        // block's output, not all the blocks after it.
+        let rows: Vec<Vec<f64>> = (0..400).map(|i| vec![f64::from(i)]).collect();
+        let runtime = GuptRuntimeBuilder::new()
+            .register_dataset("t", rows, eps(100.0))
+            .unwrap()
+            .execution(ExecutionPolicy::sequential())
+            .seed(7)
+            .build();
+        let svc = QueryService::new(runtime, ServiceConfig::default());
+        let stall = ClosureProgram::new(1, |b: &gupt_sandbox::BlockView| {
+            if b.iter().any(|r| r[0] == 123.0) {
+                thread::sleep(Duration::from_secs(2));
+            }
+            vec![0.0]
+        });
+        let spec = QuerySpec::from_program(Arc::new(stall))
+            .epsilon(eps(0.5))
+            .fixed_block_size(50)
+            .range_estimation(RangeEstimation::Tight(vec![
+                OutputRange::new(0.0, 50.0).unwrap()
+            ]));
+        let answer = svc
+            .run_with_deadline("t", spec, Duration::from_millis(800))
+            .unwrap();
+        assert_eq!(answer.num_blocks, 8);
+        assert_eq!(answer.execution.timed_out, 1, "{:?}", answer.execution);
+        assert_eq!(answer.execution.completed, 7, "{:?}", answer.execution);
     }
 
     #[test]

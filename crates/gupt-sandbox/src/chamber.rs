@@ -18,7 +18,9 @@
 //!   threads.
 //! - **Bounded** (an execution budget, or a deadline for the whole
 //!   fan-out): the calling thread is the watchdog over
-//!   `min(workers, blocks)` worker threads. Safe Rust cannot stop a
+//!   `min(workers, blocks)` worker threads. A deadline becomes one
+//!   equal per-chamber budget before the fan-out (see
+//!   [`ChamberPool::run_all_traced_seeded`]). Safe Rust cannot stop a
 //!   running thread, so a kill abandons the worker — its output is
 //!   discarded and it holds no capability to leak through — and a fresh
 //!   worker takes its place. Every worker that was not killed is joined
@@ -252,11 +254,13 @@ impl ChamberPool {
 
     /// The full-featured dispatch. With a `seed_base`, chamber `i`
     /// receives [`chamber_seed`]`(base, i)` via its scratch space. With
-    /// a `deadline`, the whole fan-out is bounded: a chamber still
-    /// running at that instant is killed, and a block no worker has
-    /// claimed by then reports the fallback as
-    /// [`ChamberOutcome::TimedOut`]. A chamber under both an execution
-    /// budget and a deadline is killed at whichever comes first.
+    /// a `deadline`, the whole fan-out is bounded: before any chamber
+    /// starts, the time left is split into one equal budget per round
+    /// of `min(workers, blocks)` chambers, and each chamber is killed
+    /// when its share runs out (or its execution budget, if that is
+    /// shorter). A block's outcome thus depends on its own run alone,
+    /// never on how long the blocks before it ran — sample-and-aggregate
+    /// calibrates its noise to one record changing only its own blocks.
     ///
     /// Workers claim views by index — handing a view to a chamber is
     /// an O(1) pair of `Arc` bumps, never a row copy — so shipping work
@@ -302,24 +306,29 @@ fn dispatch(
     }
     let start = Instant::now();
     let width = workers.clamp(1, n);
-    let watched = policy.execution_budget.is_some() || deadline.is_some();
+    // Every round of `width` chambers gets an equal share of the time
+    // left, so the fan-out ends near the deadline.
+    let share = deadline.map(|at| {
+        let rounds = u32::try_from(n.div_ceil(width)).unwrap_or(u32::MAX);
+        at.saturating_duration_since(start) / rounds
+    });
+    let budget = policy.execution_budget.into_iter().chain(share).min();
     let dispatch = Arc::new(Dispatch {
         policy: policy.clone(),
         dim: program.output_dimension(),
         program,
         views,
         seeds,
-        deadline,
+        budget,
         board: Mutex::new(Board {
             next: 0,
             slots: (0..n).map(|_| None).collect(),
             open: n,
             seats: Vec::new(),
-            watch_until: None,
         }),
         changed: Condvar::new(),
     });
-    let spawned = if watched {
+    let spawned = if budget.is_some() {
         dispatch.watch(width)
     } else {
         dispatch.share(width)
@@ -353,8 +362,9 @@ struct Dispatch {
     seeds: Vec<Option<u64>>,
     /// The program's declared output arity, read once.
     dim: usize,
-    /// The kill instant of the whole fan-out.
-    deadline: Option<Instant>,
+    /// Each chamber's execution budget: the policy's, or the
+    /// deadline's per-chamber share if that is shorter.
+    budget: Option<Duration>,
     board: Mutex<Board>,
     /// Signalled after a change the watchdog waits for has been made
     /// under `board`.
@@ -371,10 +381,6 @@ struct Board {
     open: usize,
     /// One per thread that has worked on this dispatch.
     seats: Vec<Seat>,
-    /// When the waiting watchdog wakes by itself (`None`: only when
-    /// notified). A worker whose chamber must be killed earlier
-    /// notifies it after the claim.
-    watch_until: Option<Instant>,
 }
 
 /// One worker's entry on the [`Board`].
@@ -407,15 +413,6 @@ impl Board {
         seat.busy += report.elapsed;
         self.fill(block, report);
     }
-
-    /// Fills every unclaimed block's slot with `report()`.
-    fn close_unclaimed(&mut self, report: impl Fn() -> ChamberReport) {
-        while self.next < self.slots.len() {
-            let block = self.next;
-            self.next += 1;
-            self.fill(block, report());
-        }
-    }
 }
 
 impl Dispatch {
@@ -435,13 +432,9 @@ impl Dispatch {
     }
 
     /// When a chamber that started at `start` is killed: at the end of
-    /// its budget or at the deadline, whichever comes first.
+    /// its budget.
     fn kill_at(&self, start: Instant) -> Option<Instant> {
-        let by_budget = self
-            .policy
-            .execution_budget
-            .and_then(|budget| start.checked_add(budget));
-        by_budget.into_iter().chain(self.deadline).min()
+        self.budget.and_then(|budget| start.checked_add(budget))
     }
 
     /// Runs `block`'s chamber on this thread: a fresh scratch, panics
@@ -469,35 +462,28 @@ impl Dispatch {
 
     /// A worker's loop on `seat`: claim the next block, run its
     /// chamber, publish the report, sleep out any padding — until no
-    /// block is left, the deadline has passed, or the watchdog kills
-    /// the chamber.
+    /// block is left or the watchdog kills the chamber.
     fn work(&self, seat: usize) {
         let _exit = Exit {
             dispatch: self,
             seat,
         };
-        let pad = self
-            .policy
-            .execution_budget
-            .filter(|_| self.policy.pad_to_budget);
+        let pad = self.budget.filter(|_| self.policy.pad_to_budget);
         loop {
-            let (block, start, wake_watchdog) = {
+            let (block, start) = {
                 let mut board = self.lock();
-                let start = Instant::now();
-                if board.next == self.views.len() || self.deadline.is_some_and(|d| start >= d) {
+                if board.next == self.views.len() {
                     return;
                 }
                 let block = board.next;
                 board.next += 1;
+                let start = Instant::now();
                 board.seats[seat].running = Some((block, start));
-                // The kill instant runs from `start`: the watchdog must
-                // hear of the claim unless it already wakes by then.
-                let wake = self
-                    .kill_at(start)
-                    .is_some_and(|kill| board.watch_until.is_none_or(|until| until > kill));
-                (block, start, wake)
+                (block, start)
             };
-            if wake_watchdog {
+            // The kill instant runs from `start`: the watchdog must hear
+            // of the claim.
+            if self.kill_at(start).is_some() {
                 self.changed.notify_one();
             }
             let (output, outcome) = self.run_chamber(block);
@@ -552,8 +538,8 @@ impl Dispatch {
 
     /// The bounded dispatch, run by the calling thread as watchdog: keep
     /// `width` workers live while blocks are unclaimed, kill each
-    /// chamber at its kill instant, then reap every worker that was not
-    /// killed. Returns the threads started.
+    /// chamber when its budget runs out, then reap every worker that
+    /// was not killed. Returns the threads started.
     fn watch(self: &Arc<Self>, width: usize) -> u64 {
         let n = self.views.len();
         let mut workers = Vec::new();
@@ -569,9 +555,6 @@ impl Dispatch {
                     let report = self.fallback(ChamberOutcome::TimedOut, now - start);
                     board.publish(seat, block, report);
                 }
-            }
-            if self.deadline.is_some_and(|d| now >= d) {
-                board.close_unclaimed(|| self.fallback(ChamberOutcome::TimedOut, Duration::ZERO));
             }
             if board.open == 0 {
                 break;
@@ -598,21 +581,22 @@ impl Dispatch {
             if live == 0 {
                 // No worker could be started, and none is running a
                 // chamber: the remaining blocks fail closed.
-                board.close_unclaimed(|| self.fallback(ChamberOutcome::Panicked, Duration::ZERO));
-                debug_assert_eq!(board.open, 0);
+                while board.next < n {
+                    let block = board.next;
+                    board.next += 1;
+                    let report = self.fallback(ChamberOutcome::Panicked, Duration::ZERO);
+                    board.fill(block, report);
+                }
                 break;
             }
             // Sleep until the first kill instant, or until a worker
-            // reports a claim that must be killed sooner, the last
-            // report, or its exit.
+            // reports a claim, the last report, or its exit.
             let wake = board
                 .seats
                 .iter()
                 .filter_map(|seat| seat.running)
                 .filter_map(|(_, start)| self.kill_at(start))
-                .chain(self.deadline)
                 .min();
-            board.watch_until = wake;
             board = match wake {
                 Some(at) => {
                     let timeout = at.saturating_duration_since(Instant::now());
@@ -1203,8 +1187,8 @@ mod tests {
     #[test]
     fn deadline_bounds_the_whole_fan_out() {
         // Eight 150 ms blocks on one worker under a 300 ms deadline:
-        // two complete, the third is killed at the deadline and the rest
-        // are never claimed.
+        // each chamber gets a ~37 ms share, so every block is killed and
+        // the dispatch ends near the deadline.
         let program: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
             thread::sleep(Duration::from_millis(150));
             vec![b.row(0)[0]]
@@ -1220,13 +1204,53 @@ mod tests {
             "{:?}",
             start.elapsed()
         );
-        let timed_out: Vec<&ChamberReport> = reports
-            .iter()
-            .filter(|r| r.outcome == ChamberOutcome::TimedOut)
-            .collect();
-        assert!(timed_out.len() >= 6, "{:?}", outcomes(&reports));
-        assert!(timed_out.iter().all(|r| r.output == vec![9.0]));
-        assert_eq!(reports[0].outcome, ChamberOutcome::Completed);
+        assert!(
+            reports
+                .iter()
+                .all(|r| r.outcome == ChamberOutcome::TimedOut && r.output == vec![9.0]),
+            "{:?}",
+            outcomes(&reports)
+        );
+    }
+
+    #[test]
+    fn one_slow_block_under_a_deadline_times_out_alone() {
+        // Under a deadline, block 0 sleeps far past its share of it. Only
+        // block 0 is killed: a program that stalls on the block holding a
+        // target record must not turn the blocks after it into the
+        // fallback, or one record would move the answer by far more than
+        // the noise covers.
+        let program: Arc<dyn BlockProgram> = Arc::new(ClosureProgram::new(1, |b: &BlockView| {
+            if b.row(0)[0] == 0.0 {
+                thread::sleep(Duration::from_secs(2));
+            }
+            vec![b.row(0)[0]]
+        }));
+        for width in [1usize, 2] {
+            let program = Arc::clone(&program);
+            let start = Instant::now();
+            let deadline = start + Duration::from_millis(400);
+            let reports = within(Duration::from_secs(10), move || {
+                let pool = ChamberPool::new(ChamberPolicy::unbounded().with_fallback(9.0), width);
+                pool.run_all_traced_seeded(&program, views(8), None, Some(deadline))
+                    .0
+            });
+            assert!(
+                start.elapsed() < Duration::from_millis(800),
+                "width {width}: {:?}",
+                start.elapsed()
+            );
+            assert_eq!(reports[0].outcome, ChamberOutcome::TimedOut);
+            assert_eq!(reports[0].output, vec![9.0]);
+            for (i, r) in reports.iter().enumerate().skip(1) {
+                assert_eq!(
+                    r.outcome,
+                    ChamberOutcome::Completed,
+                    "width {width}, block {i}"
+                );
+                assert_eq!(r.output, vec![i as f64]);
+            }
+        }
     }
 
     #[test]
@@ -1262,9 +1286,11 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let runner = thread::spawn(move || {
             for i in 0..10_000usize {
+                // Every (policy, width) pair gets 1,250 dispatches.
                 let width = 1 + i % 4;
                 let blocks = 1 + i % 7;
-                let policy = if i % 2 == 0 {
+                let bounded = (i / 4) % 2 == 0;
+                let policy = if bounded {
                     ChamberPolicy::bounded(Duration::from_secs(5), 0.0).without_padding()
                 } else {
                     ChamberPolicy::unbounded()
@@ -1275,7 +1301,7 @@ mod tests {
                     .iter()
                     .enumerate()
                     .all(|(b, r)| r.outcome == ChamberOutcome::Completed && r.output == [b as f64]);
-                let expected_spawns = width.min(blocks) - usize::from(i % 2 == 1);
+                let expected_spawns = width.min(blocks) - usize::from(!bounded);
                 if tx
                     .send((i, ok, trace.spawned == expected_spawns as u64))
                     .is_err()
