@@ -19,6 +19,8 @@
 //! the view API has no mutators, no neighbouring-row access, and the
 //! store behind the `Arc` is immutable by construction.
 
+use std::ops::Range;
+use std::slice;
 use std::sync::Arc;
 
 /// An immutable, contiguous, row-major table of `f64` values.
@@ -144,6 +146,7 @@ impl RowStore {
     }
 
     /// Row `i` as a slice (panics when out of bounds).
+    #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.arity..(i + 1) * self.arity]
     }
@@ -366,7 +369,14 @@ impl BlockView {
 
     /// Iterates over the block's rows in block order.
     pub fn iter(&self) -> BlockRows<'_> {
-        BlockRows { view: self, pos: 0 }
+        let rows = match &self.indices {
+            ViewIndices::Dense { start, len } => RowIndices::Dense(*start..start + len),
+            ViewIndices::Sparse(idx) => RowIndices::Sparse(idx.iter()),
+        };
+        BlockRows {
+            store: &self.store,
+            rows,
+        }
     }
 
     /// The shared row store this view borrows from. Exposed so callers
@@ -438,28 +448,38 @@ impl<'a> IntoIterator for &'a BlockView {
     }
 }
 
-/// Iterator over a [`BlockView`]'s rows.
+/// Iterator over a [`BlockView`]'s rows: it walks the view's store
+/// indices directly, so a row costs one index step and one store slice.
 #[derive(Debug)]
 pub struct BlockRows<'a> {
-    view: &'a BlockView,
-    pos: usize,
+    store: &'a RowStore,
+    rows: RowIndices<'a>,
+}
+
+/// The store indices a [`BlockRows`] has yet to yield.
+#[derive(Debug)]
+enum RowIndices<'a> {
+    Dense(Range<usize>),
+    Sparse(slice::Iter<'a, usize>),
 }
 
 impl<'a> Iterator for BlockRows<'a> {
     type Item = &'a [f64];
 
+    #[inline]
     fn next(&mut self) -> Option<&'a [f64]> {
-        if self.pos >= self.view.len() {
-            return None;
-        }
-        let row = self.view.row(self.pos);
-        self.pos += 1;
-        Some(row)
+        let i = match &mut self.rows {
+            RowIndices::Dense(range) => range.next()?,
+            RowIndices::Sparse(idx) => *idx.next()?,
+        };
+        Some(self.store.row(i))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.view.len() - self.pos;
-        (left, Some(left))
+        match &self.rows {
+            RowIndices::Dense(range) => range.size_hint(),
+            RowIndices::Sparse(idx) => idx.size_hint(),
+        }
     }
 }
 
@@ -641,6 +661,31 @@ mod tests {
             sum += row[0];
         }
         assert_eq!(sum, 11.0);
+    }
+
+    #[test]
+    fn block_rows_yield_each_row_with_an_exact_length() {
+        let s = store();
+        let sparse = |idx: Vec<usize>| BlockView::sparse(Arc::clone(&s), Arc::from(idx));
+        let views = [
+            BlockView::full(Arc::clone(&s)),
+            BlockView::dense(Arc::clone(&s), 1, 2),
+            BlockView::dense(Arc::clone(&s), 2, 0),
+            sparse(vec![3, 1, 1, 0, 3]),
+            sparse(Vec::new()),
+        ];
+        for v in &views {
+            let mut rows = v.iter();
+            for i in 0..v.len() {
+                let left = v.len() - i;
+                assert_eq!(rows.len(), left);
+                assert_eq!(rows.size_hint(), (left, Some(left)));
+                assert_eq!(rows.next(), Some(v.row(i)));
+            }
+            assert_eq!(rows.len(), 0);
+            assert_eq!(rows.size_hint(), (0, Some(0)));
+            assert_eq!(rows.next(), None);
+        }
     }
 
     #[test]

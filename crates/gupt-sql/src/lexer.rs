@@ -88,23 +88,28 @@ pub enum Keyword {
 
 impl Keyword {
     fn from_word(word: &str) -> Option<Keyword> {
-        let upper = word.to_ascii_uppercase();
-        Some(match upper.as_str() {
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "GROUP" => Keyword::Group,
-            "BY" => Keyword::By,
-            "WITH" => Keyword::With,
-            "EPSILON" => Keyword::Epsilon,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "COUNT" => Keyword::Count,
-            "SUM" => Keyword::Sum,
-            "AVG" => Keyword::Avg,
-            "MEDIAN" => Keyword::Median,
-            "VARIANCE" => Keyword::Variance,
+        // VARIANCE is the longest keyword, so a longer word is an
+        // identifier; shorter ones are uppercased on the stack.
+        let mut buf = [0u8; 8];
+        let upper = buf.get_mut(..word.len())?;
+        upper.copy_from_slice(word.as_bytes());
+        upper.make_ascii_uppercase();
+        Some(match &*upper {
+            b"SELECT" => Keyword::Select,
+            b"FROM" => Keyword::From,
+            b"WHERE" => Keyword::Where,
+            b"GROUP" => Keyword::Group,
+            b"BY" => Keyword::By,
+            b"WITH" => Keyword::With,
+            b"EPSILON" => Keyword::Epsilon,
+            b"AND" => Keyword::And,
+            b"OR" => Keyword::Or,
+            b"NOT" => Keyword::Not,
+            b"COUNT" => Keyword::Count,
+            b"SUM" => Keyword::Sum,
+            b"AVG" => Keyword::Avg,
+            b"MEDIAN" => Keyword::Median,
+            b"VARIANCE" => Keyword::Variance,
             _ => return None,
         })
     }
@@ -136,7 +141,9 @@ impl Keyword {
 /// unrecognised character.
 pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
     let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
+    // Every token of the grammar is ASCII and the first other character
+    // is an error, so a byte offset into a line is also its column.
+    let bytes = input.as_bytes();
     let mut i = 0;
     let mut line = 1usize;
     let mut column = 1usize;
@@ -153,48 +160,45 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
         }};
     }
 
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '\n' => {
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\n' => {
                 i += 1;
                 line += 1;
                 column = 1;
             }
-            ' ' | '\t' | '\r' => {
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
                 column += 1;
             }
-            '(' => push!(TokenKind::LParen, 1),
-            ')' => push!(TokenKind::RParen, 1),
-            ',' => push!(TokenKind::Comma, 1),
-            '*' => push!(TokenKind::Star, 1),
-            '=' => push!(TokenKind::Eq, 1),
-            '!' if chars.get(i + 1) == Some(&'=') => push!(TokenKind::NotEq, 2),
-            '<' if chars.get(i + 1) == Some(&'>') => push!(TokenKind::NotEq, 2),
-            '<' if chars.get(i + 1) == Some(&'=') => push!(TokenKind::LtEq, 2),
-            '<' => push!(TokenKind::Lt, 1),
-            '>' if chars.get(i + 1) == Some(&'=') => push!(TokenKind::GtEq, 2),
-            '>' => push!(TokenKind::Gt, 1),
-            '-' | '.' | '0'..='9' => {
-                let (value, len) = lex_number(&chars, i, line, column)?;
+            b'(' => push!(TokenKind::LParen, 1),
+            b')' => push!(TokenKind::RParen, 1),
+            b',' => push!(TokenKind::Comma, 1),
+            b'*' => push!(TokenKind::Star, 1),
+            b'=' => push!(TokenKind::Eq, 1),
+            b'!' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::NotEq, 2),
+            b'<' if bytes.get(i + 1) == Some(&b'>') => push!(TokenKind::NotEq, 2),
+            b'<' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::LtEq, 2),
+            b'<' => push!(TokenKind::Lt, 1),
+            b'>' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::GtEq, 2),
+            b'>' => push!(TokenKind::Gt, 1),
+            b'-' | b'.' | b'0'..=b'9' => {
+                let (value, len) = lex_number(input, i, line, column)?;
                 push!(TokenKind::Number(value), len);
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let mut end = i;
-                while end < chars.len() && (chars[end].is_ascii_alphanumeric() || chars[end] == '_')
-                {
-                    end += 1;
-                }
-                let word: String = chars[start..end].iter().collect();
-                let len = end - start;
-                match Keyword::from_word(&word) {
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                    .unwrap_or(bytes.len() - i);
+                let word = &input[i..i + len];
+                match Keyword::from_word(word) {
                     Some(kw) => push!(TokenKind::Keyword(kw), len),
-                    None => push!(TokenKind::Ident(word), len),
+                    None => push!(TokenKind::Ident(word.to_string()), len),
                 }
             }
-            other => {
+            _ => {
+                let other = input[i..].chars().next().expect("i is on a char boundary");
                 return Err(SqlError::parse(
                     format!("unexpected character {other:?}"),
                     line,
@@ -212,48 +216,47 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
     Ok(tokens)
 }
 
-/// Lexes a number starting at `chars[start]`. Accepts an optional
-/// leading `-`, digits, an optional fraction and an optional
+/// Lexes a number starting at byte `start` of `input`. Accepts an
+/// optional leading `-`, digits, an optional fraction and an optional
 /// `e`/`E` exponent with optional sign. Rejects a bare `-` or `.`.
 fn lex_number(
-    chars: &[char],
+    input: &str,
     start: usize,
     line: usize,
     column: usize,
 ) -> Result<(f64, usize), SqlError> {
+    let bytes = input.as_bytes();
+    let digits_after = |from: usize| {
+        from + bytes[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
     let mut end = start;
-    if chars.get(end) == Some(&'-') {
+    if bytes.get(end) == Some(&b'-') {
         end += 1;
     }
     let digits_begin = end;
-    while end < chars.len() && chars[end].is_ascii_digit() {
-        end += 1;
+    end = digits_after(end);
+    if bytes.get(end) == Some(&b'.') {
+        end = digits_after(end + 1);
     }
-    if chars.get(end) == Some(&'.') {
-        end += 1;
-        while end < chars.len() && chars[end].is_ascii_digit() {
-            end += 1;
-        }
-    }
-    if end == digits_begin || (end == digits_begin + 1 && chars[digits_begin] == '.') {
+    if end == digits_begin || (end == digits_begin + 1 && bytes[digits_begin] == b'.') {
         return Err(SqlError::parse("expected a numeric literal", line, column));
     }
-    if matches!(chars.get(end), Some('e') | Some('E')) {
-        let mut exp_end = end + 1;
-        if matches!(chars.get(exp_end), Some('+') | Some('-')) {
-            exp_end += 1;
+    if matches!(bytes.get(end), Some(b'e') | Some(b'E')) {
+        let mut exp_digits = end + 1;
+        if matches!(bytes.get(exp_digits), Some(b'+') | Some(b'-')) {
+            exp_digits += 1;
         }
-        let exp_digits = exp_end;
-        while exp_end < chars.len() && chars[exp_end].is_ascii_digit() {
-            exp_end += 1;
-        }
+        let exp_end = digits_after(exp_digits);
         // `1e` followed by a non-digit is not an exponent — only commit
         // to the exponent form when at least one digit follows.
         if exp_end > exp_digits {
             end = exp_end;
         }
     }
-    let text: String = chars[start..end].iter().collect();
+    let text = &input[start..end];
     let value: f64 = text
         .parse()
         .map_err(|_| SqlError::parse(format!("invalid numeric literal {text:?}"), line, column))?;
@@ -317,6 +320,21 @@ mod tests {
         let err = lex("SELECT $").unwrap_err();
         match err {
             SqlError::Parse { line, column, .. } => assert_eq!((line, column), (1, 8)),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_ascii_characters_are_rejected_at_their_column() {
+        match lex("SELECT\n  AVG(c0) é").unwrap_err() {
+            SqlError::Parse {
+                message,
+                line,
+                column,
+            } => {
+                assert_eq!((line, column), (2, 11));
+                assert_eq!(message, "unexpected character 'é'");
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }

@@ -45,12 +45,10 @@ impl Parser {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn advance(&mut self) -> Token {
-        let tok = self.peek().clone();
+    fn advance(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        tok
     }
 
     fn error_at(&self, message: impl Into<String>) -> SqlError {
@@ -164,21 +162,22 @@ impl Parser {
 
     /// Parses a positional column reference `cN` into its index.
     fn column(&mut self) -> Result<usize, SqlError> {
-        let tok = self.peek().clone();
-        if let TokenKind::Ident(name) = &tok.kind {
-            let lower = name.to_ascii_lowercase();
-            if let Some(digits) = lower.strip_prefix('c') {
-                if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                    // Reject absurd indices before usize::from_str can wrap
-                    // the error into something unhelpful.
-                    if let Ok(index) = digits.parse::<usize>() {
-                        self.advance();
-                        return Ok(index);
-                    }
-                }
+        let index = match &self.peek().kind {
+            TokenKind::Ident(name) => name
+                .strip_prefix(['c', 'C'])
+                .filter(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
+                // Reject absurd indices before usize::from_str can wrap
+                // the error into something unhelpful.
+                .and_then(|digits| digits.parse::<usize>().ok()),
+            _ => None,
+        };
+        match index {
+            Some(index) => {
+                self.advance();
+                Ok(index)
             }
+            None => Err(self.error_at("expected a column reference like c0")),
         }
-        Err(self.error_at("expected a column reference like c0"))
     }
 
     fn number(&mut self) -> Result<f64, SqlError> {

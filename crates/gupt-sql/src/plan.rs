@@ -37,6 +37,7 @@ use crate::ast::{AggFunc, Aggregate, Predicate, Statement};
 use crate::error::SqlError;
 use gupt_core::{BlockView, QuerySpec, RangeEstimation};
 use gupt_dp::OutputRange;
+use std::fmt::Write as _;
 
 /// Public facts about the target dataset the planner compiles against.
 #[derive(Debug, Clone)]
@@ -85,18 +86,20 @@ impl RowFilter {
 
     /// Canonical rendering for program identities (`-` when empty).
     pub fn canonical(&self) -> String {
-        let mut parts = Vec::new();
+        let mut out = String::new();
         if let Some(pred) = &self.predicate {
-            parts.push(pred.to_string());
+            write!(out, "{pred}").expect("writing to a String cannot fail");
         }
         for (col, val) in &self.group_key {
-            parts.push(format!("c{col} = {val}"));
+            if !out.is_empty() {
+                out.push_str(" AND ");
+            }
+            write!(out, "c{col} = {val}").expect("writing to a String cannot fail");
         }
-        if parts.is_empty() {
-            "-".to_string()
-        } else {
-            parts.join(" AND ")
+        if out.is_empty() {
+            out.push('-');
         }
+        out
     }
 }
 
@@ -218,12 +221,7 @@ pub fn aggregate_spec(
                 if k == 0 {
                     midpoint
                 } else {
-                    matched.sort_by(f64::total_cmp);
-                    if k % 2 == 1 {
-                        matched[k / 2]
-                    } else {
-                        (matched[k / 2 - 1] + matched[k / 2]) / 2.0
-                    }
+                    median(&mut matched)
                 }
             }
             AggFunc::Variance => {
@@ -238,12 +236,11 @@ pub fn aggregate_spec(
         vec![value]
     };
 
-    let identity = format!(
-        "sql:{agg}|{filter_canonical}|n={}|r={}..{}",
-        ctx.dataset_size,
-        range.lo(),
-        range.hi()
-    );
+    // The output range stays out of the name: the answer-cache
+    // fingerprint already hashes the spec's tight range bit for bit, and
+    // rendering two more floats per statement is a measurable share of
+    // the front-end's cost.
+    let identity = format!("sql:{agg}|{filter_canonical}|n={}", ctx.dataset_size);
 
     let mut builder = QuerySpec::builder()
         .view(estimator)
@@ -254,6 +251,26 @@ pub fn aggregate_spec(
     }
     let spec = builder.build()?;
     Ok(AggregatePlan { spec, range })
+}
+
+/// Median of a non-empty slice under `f64::total_cmp`: the middle value
+/// of an odd count, the mean of the two middle values of an even one.
+/// Selection finds the lower middle value and the minimum of the part
+/// above it gives the upper; `total_cmp` is a total order, so both equal
+/// a sort's bit for bit, signed zeros included.
+fn median(values: &mut [f64]) -> f64 {
+    let k = values.len();
+    let (_, &mut lower, above) = values.select_nth_unstable_by((k - 1) / 2, f64::total_cmp);
+    if k % 2 == 1 {
+        lower
+    } else {
+        let upper = above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .expect("an even count leaves a value above the lower middle");
+        (lower + upper) / 2.0
+    }
 }
 
 #[cfg(test)]
@@ -324,5 +341,44 @@ mod tests {
     #[test]
     fn empty_filter_canonical_is_dash() {
         assert_eq!(RowFilter::default().canonical(), "-");
+    }
+
+    /// The sort-based MEDIAN that selection replaced, kept as the
+    /// reference.
+    fn median_by_sort(values: &[f64]) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let k = sorted.len();
+        if k % 2 == 1 {
+            sorted[k / 2]
+        } else {
+            (sorted[k / 2 - 1] + sorted[k / 2]) / 2.0
+        }
+    }
+
+    #[test]
+    fn median_matches_the_sort_bit_for_bit_with_signed_zeros() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x3ED1);
+        // Odd and even counts, heavy ties, and both zeros: under
+        // `total_cmp` -0.0 < 0.0, so the sign of a zero median is fixed.
+        let pool = [-0.0, 0.0, -2.5, 7.0, 1e-300];
+        for k in 1..=300 {
+            let mut values: Vec<f64> = (0..k)
+                .map(|_| pool[rng.random_range(0..pool.len())])
+                .collect();
+            let want = median_by_sort(&values);
+            assert_eq!(median(&mut values).to_bits(), want.to_bits(), "k {k}");
+        }
+        for (values, want) in [
+            (vec![0.0, -0.0, 0.0], 0.0f64),
+            (vec![-0.0, 0.0, -0.0], -0.0),
+            (vec![0.0, -0.0], 0.0),
+            (vec![-0.0, -0.0], -0.0),
+        ] {
+            let got = median(&mut values.clone());
+            assert_eq!(got.to_bits(), want.to_bits(), "{values:?}");
+            assert_eq!(got.to_bits(), median_by_sort(&values).to_bits());
+        }
     }
 }
