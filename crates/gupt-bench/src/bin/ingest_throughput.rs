@@ -5,15 +5,16 @@
 //! re-validated and re-flattened into a fresh `RowStore`, and the
 //! registration epoch is re-hashed over all content — O(n) work for an
 //! O(delta) change. `GuptRuntime::append_rows` flattens only the delta
-//! (extending the flat buffer in place, amortized O(delta)) and chains
-//! the epoch over the delta bits, so a 1% append costs ~1% of the work.
+//! (filling the store's last fixed-size chunk in place) and chains the
+//! epoch over the delta bits, so a 1% append costs ~1% of the work.
 //!
 //! This bench times both paths on the same 1% delta and gates on the
 //! ratio: the run fails (exit 1) if the incremental append is not at
 //! least `GUPT_MIN_INGEST_SPEEDUP` (default 5×) faster than full
 //! re-registration. It also asserts the delta-only accounting exactly:
-//! `bytes_materialized` must equal the delta bytes alone — a re-flatten
-//! of the base would show up here before it showed up in the timings.
+//! `bytes_materialized` must equal the delta bytes alone (no query
+//! snapshot is in flight) — any copy of stored rows would show up here
+//! before it showed up in the timings.
 //!
 //! Scale knobs: `GUPT_INGEST_ROWS` (default 100 000 rows) and
 //! `GUPT_TRIALS`.

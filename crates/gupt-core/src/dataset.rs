@@ -10,7 +10,8 @@
 //! Rows are flattened **once**, at construction, into an `Arc`-backed
 //! [`RowStore`]; every query partition afterwards hands out
 //! [`gupt_sandbox::view::BlockView`]s onto that shared store instead of
-//! cloning rows.
+//! cloning rows. Appended and aged rows extend their store chunk by
+//! chunk, so no append or aging step copies rows already stored.
 
 use crate::error::GuptError;
 use gupt_dp::OutputRange;
@@ -57,58 +58,30 @@ impl Dataset {
         })
     }
 
-    /// Returns this dataset extended with `rows` — the incremental
-    /// ingest path.
+    /// Extends this dataset with `rows` in place — the incremental
+    /// ingest path, for an exclusively held dataset (e.g. under a
+    /// registry write lock).
     ///
     /// Validation matches [`Dataset::new`] (uniform width, finite
     /// values), with offending rows reported at their index in the
-    /// *grown* table. Only the delta is flattened row by row; the
-    /// existing store's flat buffer is block-copied wholesale via
-    /// [`RowStore::with_appended`], so append cost is proportional to
-    /// the delta, not the table. Input ranges, the group column, and
-    /// the aged store carry over unchanged (appended rows are always
-    /// privacy-sensitive). An empty delta returns an identical dataset.
-    pub fn append_rows(&self, rows: &[Vec<f64>]) -> Result<Self, GuptError> {
+    /// grown table; on error the dataset is untouched. Appended rows are
+    /// always privacy-sensitive: input ranges, the group column and the
+    /// aged store carry over unchanged. A query snapshot that still
+    /// holds the store keeps seeing the table it was planned over:
+    /// `Arc::make_mut` gives this dataset its own store (copying the
+    /// chunk list, not rows) and [`RowStore::append_rows`] copies at most
+    /// the one partly filled chunk the snapshot shares. Returns the
+    /// bytes written, as [`RowStore::append_rows`] counts them.
+    pub fn append_rows_in_place(&mut self, rows: &[Vec<f64>]) -> Result<usize, GuptError> {
         if rows.is_empty() {
-            return Ok(self.clone());
+            return Ok(0);
         }
         self.validate_delta(rows)?;
-        Ok(Dataset {
-            store: Arc::new(RowStore::with_appended(&self.store, rows)),
-            input_ranges: self.input_ranges.clone(),
-            aged: Arc::clone(&self.aged),
-            group_column: self.group_column,
-        })
+        Ok(Arc::make_mut(&mut self.store).append_rows(rows))
     }
 
-    /// Extends this dataset with `rows` in place — the mutating twin of
-    /// [`Dataset::append_rows`] for an exclusively held dataset (e.g.
-    /// under a registry write lock).
-    ///
-    /// When no other handle shares the row store (no query snapshot in
-    /// flight), the delta extends the existing flat buffer directly:
-    /// amortized O(delta), with the base re-copied only on the rare
-    /// buffer reallocation. If a reader still holds the store, it falls
-    /// back to the copying path so outstanding [`BlockView`]s keep
-    /// seeing the table they were planned over. Validation and failure
-    /// atomicity match [`Dataset::append_rows`]: on error the dataset
-    /// is untouched.
-    ///
-    /// [`BlockView`]: gupt_sandbox::view::BlockView
-    pub fn append_rows_in_place(&mut self, rows: &[Vec<f64>]) -> Result<(), GuptError> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        self.validate_delta(rows)?;
-        match Arc::get_mut(&mut self.store) {
-            Some(store) => store.append_rows(rows),
-            None => self.store = Arc::new(RowStore::with_appended(&self.store, rows)),
-        }
-        Ok(())
-    }
-
-    /// Shape/finiteness validation shared by both append paths, with
-    /// offending rows reported at their index in the grown table.
+    /// Shape/finiteness validation of a delta, with offending rows
+    /// reported at their index in the grown table.
     fn validate_delta(&self, rows: &[Vec<f64>]) -> Result<(), GuptError> {
         let width = self.dimension();
         let offset = self.len();
@@ -154,18 +127,34 @@ impl Dataset {
             )));
         }
         let n = self.store.len();
-        let cut = ((n as f64) * fraction).round() as usize;
-        let cut = cut.clamp(1, n.saturating_sub(1));
+        if n < 2 {
+            return Err(GuptError::InvalidDataset(format!(
+                "an aged fraction needs at least 2 rows (one aged, one private), got {n}"
+            )));
+        }
+        let cut = (((n as f64) * fraction).round() as usize).clamp(1, n - 1);
+        // Both parts become registered stores: one contiguous segment each.
         let arity = self.store.dimension();
-        let flat = self.store.flat();
-        self.aged = Arc::new(RowStore::from_flat(flat[..cut * arity].to_vec(), arity));
-        self.store = Arc::new(RowStore::from_flat(flat[cut * arity..].to_vec(), arity));
+        let part = |rows| {
+            RowStore::from_flat(
+                self.store.segments(rows).flatten().copied().collect(),
+                arity,
+            )
+        };
+        let (aged, store) = (part(0..cut), part(cut..n));
+        self.aged = Arc::new(aged);
+        self.store = Arc::new(store);
         Ok(self)
     }
 
     /// Copies main-store rows `[start, end)` into the aged store — the
     /// §3.3 aging path the streaming plane takes as window frontiers
     /// advance past rows no later window can cover.
+    ///
+    /// The rows are appended to the aged store through the same path as
+    /// [`Dataset::append_rows_in_place`], so a step copies its own rows
+    /// (plus at most the partly filled chunk a query snapshot shares),
+    /// never the aged rows already stored.
     ///
     /// The main store is **not** truncated: row offsets stay stable (so
     /// outstanding window bounds and cached window fingerprints remain
@@ -185,10 +174,8 @@ impl Dataset {
         if start == end {
             return Ok(0);
         }
-        let arity = self.store.dimension();
-        let mut flat = self.aged.flat().to_vec();
-        flat.extend_from_slice(self.store.flat_range(start, end));
-        self.aged = Arc::new(RowStore::from_flat(flat, arity));
+        let store = &self.store;
+        Arc::make_mut(&mut self.aged).append_rows((start..end).map(|i| store.row(i)));
         Ok(end - start)
     }
 
@@ -282,6 +269,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gupt_sandbox::view::CHUNK_ROWS;
 
     fn rows(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64, (i * 2) as f64]).collect()
@@ -361,6 +349,22 @@ mod tests {
     }
 
     #[test]
+    fn aged_fraction_of_one_row_is_an_error_not_a_panic() {
+        let err = Dataset::new(vec![vec![1.0]])
+            .unwrap()
+            .with_aged_fraction(0.5)
+            .unwrap_err();
+        assert!(matches!(err, GuptError::InvalidDataset(_)), "{err}");
+        assert!(err.to_string().contains("at least 2 rows"), "{err}");
+        // Two rows split one and one.
+        let two = Dataset::new(rows(2))
+            .unwrap()
+            .with_aged_fraction(0.5)
+            .unwrap();
+        assert_eq!((two.aged_store().len(), two.len()), (1, 1));
+    }
+
+    #[test]
     fn group_column_validation() {
         let ds = Dataset::new(rows(5)).unwrap();
         assert!(ds.clone().with_group_column(5).is_err());
@@ -388,7 +392,7 @@ mod tests {
 
     #[test]
     fn append_rows_grows_and_preserves_settings() {
-        let ds = Dataset::new(rows(10))
+        let mut ds = Dataset::new(rows(10))
             .unwrap()
             .with_group_column(0)
             .unwrap()
@@ -397,30 +401,31 @@ mod tests {
                 OutputRange::new(0.0, 200.0).unwrap(),
             ])
             .unwrap();
-        let grown = ds.append_rows(&rows(3)).unwrap();
-        assert_eq!(grown.len(), 13);
-        assert_eq!(ds.len(), 10, "the source dataset is untouched");
-        assert_eq!(grown.group_column(), Some(0));
-        assert_eq!(grown.input_ranges().unwrap().len(), 2);
-        assert_eq!(grown.store().row(10), &[0.0, 0.0]);
-        // Empty delta: same contents, aged store still shared.
-        let same = grown.append_rows(&[]).unwrap();
-        assert_eq!(same.len(), grown.len());
-        assert!(Arc::ptr_eq(same.aged_store(), grown.aged_store()));
+        let before = ds.clone();
+        assert_eq!(ds.append_rows_in_place(&rows(3)).unwrap(), 3 * 2 * 8);
+        assert_eq!(ds.len(), 13);
+        assert_eq!(before.len(), 10, "a clone taken before is untouched");
+        assert_eq!(ds.group_column(), Some(0));
+        assert_eq!(ds.input_ranges().unwrap().len(), 2);
+        assert_eq!(ds.store().row(10), &[0.0, 0.0]);
+        // Empty delta: nothing written, aged store still shared.
+        assert_eq!(ds.append_rows_in_place(&[]).unwrap(), 0);
+        assert_eq!(ds.len(), 13);
+        assert!(Arc::ptr_eq(ds.aged_store(), before.aged_store()));
     }
 
     #[test]
-    fn in_place_append_falls_back_to_copy_under_a_snapshot() {
+    fn append_under_a_snapshot_leaves_the_snapshot_frozen() {
         let mut ds = Dataset::new(rows(10)).unwrap();
-        // Exclusive store: the append mutates the buffer in place.
+        // Exclusive store: the append extends it in place.
         let before = Arc::clone(ds.store());
         drop(before);
         ds.append_rows_in_place(&rows(2)).unwrap();
         assert_eq!(ds.len(), 12);
 
         // An outstanding query snapshot (any live Arc clone, as block
-        // planning takes one) forces the copy fallback: the snapshot
-        // keeps seeing the table it was planned over.
+        // planning takes one) keeps seeing the table it was planned
+        // over; the dataset moves on to its own store.
         let snapshot = Arc::clone(ds.store());
         let snapshot_rows = snapshot.len();
         ds.append_rows_in_place(&rows(3)).unwrap();
@@ -434,7 +439,7 @@ mod tests {
         assert_eq!(ds.store().row(11), snapshot.row(11));
         assert_eq!(ds.store().row(12), &[0.0, 0.0]);
 
-        // Failure atomicity holds on the fallback path too.
+        // Failure atomicity holds under a snapshot too.
         let snapshot = Arc::clone(ds.store());
         assert!(ds.append_rows_in_place(&[vec![1.0]]).is_err());
         assert!(
@@ -444,16 +449,60 @@ mod tests {
         assert_eq!(ds.len(), 15);
     }
 
+    /// Rows `0..upto` of `a` and `b` are the same memory, not copies.
+    fn same_rows(a: &RowStore, b: &RowStore, upto: usize) -> bool {
+        (0..upto).all(|i| a.row(i).as_ptr() == b.row(i).as_ptr())
+    }
+
+    #[test]
+    fn append_under_a_snapshot_copies_no_stored_row() {
+        let mut ds = Dataset::new(rows(100)).unwrap();
+        ds.append_rows_in_place(&rows(2 * CHUNK_ROWS + 50)).unwrap();
+        let snapshot = ds.clone();
+        let written = ds.append_rows_in_place(&rows(7)).unwrap();
+        // The delta, plus the 50 rows of the open chunk the snapshot
+        // holds; the registered rows and both full chunks are shared.
+        assert_eq!(written, (7 + 50) * 2 * 8);
+        let open_chunk = 100 + 2 * CHUNK_ROWS;
+        assert!(same_rows(snapshot.store(), ds.store(), open_chunk));
+        assert_eq!(snapshot.len(), open_chunk + 50);
+        assert_eq!(
+            snapshot.store().to_rows(),
+            ds.store().to_rows()[..open_chunk + 50].to_vec()
+        );
+    }
+
+    #[test]
+    fn aging_under_a_snapshot_copies_no_aged_row() {
+        let mut ds = Dataset::new(rows(3 * CHUNK_ROWS)).unwrap();
+        ds.age_rows(0, 2 * CHUNK_ROWS + 10).unwrap();
+        let snapshot = ds.clone();
+        ds.age_rows(2 * CHUNK_ROWS + 10, 2 * CHUNK_ROWS + 700)
+            .unwrap();
+        let (old, new) = (snapshot.aged_store(), ds.aged_store());
+        assert_eq!(
+            old.len(),
+            2 * CHUNK_ROWS + 10,
+            "the snapshot's aged view is frozen"
+        );
+        assert_eq!(new.len(), 2 * CHUNK_ROWS + 700);
+        // Every full aged chunk is shared; only the open one was copied.
+        assert!(same_rows(old, new, 2 * CHUNK_ROWS));
+        assert_eq!(new.to_rows(), ds.store().to_rows()[..new.len()].to_vec());
+        // And the main store was not touched at all.
+        assert!(Arc::ptr_eq(snapshot.store(), ds.store()));
+    }
+
     #[test]
     fn append_rows_validates_the_delta() {
-        let ds = Dataset::new(rows(4)).unwrap();
-        let err = ds.append_rows(&[vec![1.0]]).unwrap_err();
+        let mut ds = Dataset::new(rows(4)).unwrap();
+        let err = ds.append_rows_in_place(&[vec![1.0]]).unwrap_err();
         assert!(
             err.to_string().contains("appended row 4 has width 1"),
             "{err}"
         );
         let err = ds
-            .append_rows(&[vec![1.0, 2.0], vec![f64::NAN, 0.0]])
+            .append_rows_in_place(&[vec![1.0, 2.0], vec![f64::NAN, 0.0]])
             .unwrap_err();
         assert!(
             err.to_string()

@@ -31,9 +31,10 @@
 //! Registration is no longer one-shot: rows may arrive after the fact
 //! via [`DatasetEntry::append_rows`] (surfaced to analysts as
 //! `GuptRuntime::append_rows` and `DatasetHandle::append`). An append
-//! flattens **only the delta** into the Arc-backed row store — in
-//! place when no query snapshot holds it, one block copy otherwise;
-//! existing rows are never re-walked — and bumps the registration
+//! flattens **only the delta** into the Arc-backed row store's
+//! fixed-size chunks — existing rows are never re-walked or copied,
+//! except the one partly filled chunk a query snapshot may share — and
+//! bumps the registration
 //! epoch by *chaining* a content hash over the delta (`chain_epoch`),
 //! so PR 5's epoch-keyed answer-cache invalidation
 //! keeps working without re-hashing the full table. Blocks are re-planned
@@ -108,8 +109,8 @@ impl DatasetRegistration {
     /// Appends rows to the pending registration before it is added:
     /// `dataset.builder().budget(..).append_rows(&delta)?`. The delta is
     /// validated and flattened immediately (only the delta — the staged
-    /// flat buffer extends in place), and the registration epoch is
-    /// the content hash of the final table.
+    /// store extends in place), and the registration epoch is the
+    /// content hash of the final table.
     pub fn append_rows(mut self, rows: &[Vec<f64>]) -> Result<Self, GuptError> {
         self.dataset.append_rows_in_place(rows)?;
         Ok(self)
@@ -149,8 +150,11 @@ pub struct AppendReceipt {
     pub total_rows: usize,
     /// The registration epoch after the append (chained content hash).
     pub epoch: u64,
-    /// Bytes flattened for this append — delta rows only, so for a 1%
-    /// delta this is ~1% of the table, never a re-flatten of the base.
+    /// Bytes this append wrote into the row store: the delta's rows,
+    /// plus the rows of the partly filled last chunk when a query
+    /// snapshot still shared it and it had to be copied first. With no
+    /// snapshot in flight this is exactly the delta; it never grows
+    /// with the table.
     pub bytes_materialized: u64,
 }
 
@@ -161,7 +165,8 @@ pub struct IngestStats {
     pub appends: u64,
     /// Total rows appended since registration.
     pub rows_appended: u64,
-    /// Total bytes flattened by appends (delta rows only).
+    /// Total bytes appends wrote into the row store (see
+    /// [`AppendReceipt::bytes_materialized`]).
     pub bytes_materialized: u64,
 }
 
@@ -242,10 +247,11 @@ impl DatasetEntry {
 
     /// Applies a delta of rows to the live dataset.
     ///
-    /// Only the delta is validated and flattened — when no query
-    /// snapshot holds the store, it extends in place (amortized
-    /// O(delta)); otherwise the flat buffer is block-copied once — and
-    /// the epoch bump hashes the delta bits only (`chain_epoch`).
+    /// Only the delta is validated and flattened into the store's
+    /// chunks ([`Dataset::append_rows_in_place`]: a query snapshot that
+    /// shares the partly filled last chunk costs a copy of that chunk
+    /// alone), and the epoch bump hashes the delta bits only
+    /// (`chain_epoch`).
     /// Readers that captured the old `Dataset` keep it; the next query
     /// observes the grown table and re-plans its blocks against the new
     /// row count.
@@ -256,7 +262,7 @@ impl DatasetEntry {
     /// WAL.
     pub fn append_rows(&self, rows: &[Vec<f64>]) -> Result<AppendReceipt, GuptError> {
         let mut guard = self.dataset.write().unwrap_or_else(|p| p.into_inner());
-        guard.append_rows_in_place(rows)?;
+        let bytes = guard.append_rows_in_place(rows)? as u64;
         let total_rows = guard.len();
         let prev = self.epoch.load(Ordering::Acquire);
         // An empty delta changes nothing, so it must not invalidate
@@ -266,7 +272,6 @@ impl DatasetEntry {
         } else {
             chain_epoch(prev, rows, total_rows)
         };
-        let bytes = (rows.len() * guard.dimension() * std::mem::size_of::<f64>()) as u64;
         self.epoch.store(epoch, Ordering::Release);
         if !rows.is_empty() {
             // Still under the dataset write lock: the arrival log's order
@@ -482,7 +487,9 @@ impl DatasetEntry {
 /// FNV-1a 64 content hash of a dataset: dimension, row count, every row
 /// bit of the main and aged stores, and the group column. Deterministic
 /// across processes (no `DefaultHasher`), so a restarted service
-/// computes the same epoch for the same registered bytes.
+/// computes the same epoch for the same registered bytes. Rows are
+/// walked segment by segment in row order, so the hash depends on the
+/// rows alone, never on how a store is chunked.
 fn dataset_epoch(dataset: &Dataset) -> u64 {
     const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -494,7 +501,7 @@ fn dataset_epoch(dataset: &Dataset) -> u64 {
     };
     write(&(dataset.dimension() as u64).to_le_bytes());
     write(&(dataset.len() as u64).to_le_bytes());
-    for &v in dataset.store().flat() {
+    for &v in dataset.store().segments(0..dataset.len()).flatten() {
         write(&v.to_bits().to_le_bytes());
     }
     // Sentinel-coded group column: u64::MAX means "none declared".
@@ -502,7 +509,7 @@ fn dataset_epoch(dataset: &Dataset) -> u64 {
     write(&group.to_le_bytes());
     let aged = dataset.aged_store();
     write(&(aged.len() as u64).to_le_bytes());
-    for &v in aged.flat() {
+    for &v in aged.segments(0..aged.len()).flatten() {
         write(&v.to_bits().to_le_bytes());
     }
     h
@@ -802,6 +809,38 @@ mod tests {
         assert_ne!(p, g);
         assert_ne!(p, a);
         assert_ne!(g, a);
+    }
+
+    /// Registration epochs and window fingerprints hash rows, not
+    /// layout: for a fixed table whose appended and aged rows span
+    /// several chunks they equal the values a flat store produced
+    /// before stores were segmented (pinned here as literals), so
+    /// journaled cache records stay valid across the upgrade.
+    #[test]
+    fn epochs_of_a_chunked_table_match_the_flat_layout() {
+        use crate::stream::window_epoch;
+        let row = |i: usize| vec![i as f64 * 0.5, (i % 7) as f64 - 3.0];
+        let delta: Vec<Vec<f64>> = (1000..9315).map(row).collect();
+        assert!(delta.len() > 2 * gupt_sandbox::view::CHUNK_ROWS);
+        let mut ds = Dataset::new((0..1000).map(row).collect()).unwrap();
+        ds.append_rows_in_place(&delta).unwrap();
+        ds.age_rows(500, 4636).unwrap();
+        assert_eq!(dataset_epoch(&ds), 0x9ef4_6af7_8de7_715d);
+        for (start, end, golden) in [
+            (0, 1000, 0x250e_3f8e_3ea0_b043),
+            (990, 1010, 0x3c32_d9d7_88a7_694a),
+            (5090, 5100, 0xcef5_7040_370d_f26b),
+            (0, 9315, 0x7371_420b_61f9_67c4),
+            (5000, 9315, 0x6797_e507_2923_c5fc),
+        ] {
+            assert_eq!(
+                window_epoch(ds.store(), start, end),
+                golden,
+                "{start}..{end}"
+            );
+        }
+        let aged = ds.aged_store();
+        assert_eq!(window_epoch(aged, 0, aged.len()), 0x5a0d_5af8_24e7_8d1a);
     }
 
     #[test]

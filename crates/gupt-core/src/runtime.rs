@@ -431,7 +431,7 @@ impl GuptRuntime {
 
     /// Appends a delta of rows to a registered dataset (incremental
     /// ingest). Only the delta is validated and flattened — the existing
-    /// rows are block-copied, never re-walked — and the registration
+    /// rows are neither re-walked nor copied — and the registration
     /// epoch is re-chained over the delta, so cached answers about the
     /// old rows miss from here on while in-flight queries finish against
     /// the snapshot they captured. See
@@ -1345,6 +1345,39 @@ mod tests {
         assert_eq!(stats.appends, 1);
         assert_eq!(stats.rows_appended, 500);
         assert_eq!(stats.bytes_materialized, 500 * 8);
+    }
+
+    #[test]
+    fn bytes_materialized_under_a_snapshot_counts_one_chunk_at_most() {
+        use gupt_sandbox::view::CHUNK_ROWS;
+        let rt = runtime(1000, 10.0);
+        let handle = rt.dataset_handle("ages").unwrap();
+        let delta = age_rows(300);
+        let delta_bytes = 300 * 8;
+        let mut total = 0;
+        for _ in 0..40 {
+            // A query snapshot holds the store across the append, so the
+            // rows of the open chunk it shares are copied, and counted.
+            let snapshot = handle.snapshot();
+            let open_rows = (snapshot.len() - 1000) % CHUNK_ROWS;
+            let receipt = handle.append(&delta).unwrap();
+            assert_eq!(
+                receipt.bytes_materialized,
+                delta_bytes + 8 * open_rows as u64
+            );
+            assert!(receipt.bytes_materialized < delta_bytes + 8 * CHUNK_ROWS as u64);
+            assert_eq!(snapshot.len() + 300, receipt.total_rows);
+            total += receipt.bytes_materialized;
+        }
+        // The table grew 13-fold, past several chunks; no append copied
+        // more than one chunk.
+        assert!(rt.dataset_len("ages").unwrap() > 3 * CHUNK_ROWS);
+        assert_eq!(rt.ingest_stats("ages").unwrap().bytes_materialized, total);
+        // With the snapshot gone, the count is the delta exactly.
+        assert_eq!(
+            handle.append(&delta).unwrap().bytes_materialized,
+            delta_bytes
+        );
     }
 
     #[test]

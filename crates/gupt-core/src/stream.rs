@@ -217,10 +217,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a content hash of rows `[start, end)` of `store`, prefixed with
 /// a domain string so a window hash cannot collide with a registration
-/// epoch except by chance. Stable across later appends (the slice bits
-/// don't move) and across restarts (no clock, no seed), which is what
-/// lets cached window answers replay after recovery.
-pub(crate) fn window_epoch(store: &RowStore, start: usize, end: usize) -> u64 {
+/// epoch except by chance. Stable across later appends (the rows' bits
+/// don't move), across restarts (no clock, no seed) and across store
+/// layouts (segments are walked in row order), which is what lets
+/// cached window answers replay after recovery. Panics when the range
+/// is inverted or out of bounds.
+pub fn window_epoch(store: &RowStore, start: usize, end: usize) -> u64 {
     let mut h = FNV_OFFSET;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -232,7 +234,7 @@ pub(crate) fn window_epoch(store: &RowStore, start: usize, end: usize) -> u64 {
     eat(&(store.dimension() as u64).to_le_bytes());
     eat(&(start as u64).to_le_bytes());
     eat(&(end as u64).to_le_bytes());
-    for v in store.flat_range(start, end) {
+    for v in store.segments(start..end).flatten() {
         eat(&v.to_bits().to_le_bytes());
     }
     h

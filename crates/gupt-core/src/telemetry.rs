@@ -186,17 +186,19 @@ impl ParallelTelemetry {
 
 /// Incremental-ingest counters of the queried dataset at the moment the
 /// query finished (schema v6 `ingest` object). All zero for a dataset
-/// that never saw an append; `bytes_materialized` counts delta rows
-/// only, so operators can assert that a small append did not re-flatten
-/// the whole table.
+/// that never saw an append; `bytes_materialized` counts the bytes
+/// appends wrote — the delta rows plus any partly filled chunk a query
+/// snapshot shared and that had to be copied — so operators can see
+/// that a small append never copies the whole table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestTelemetry {
     /// Appends applied to the dataset since registration.
     pub appends: u64,
     /// Total rows appended since registration.
     pub rows_appended: u64,
-    /// Total bytes flattened by appends (delta rows only — never the
-    /// pre-existing table).
+    /// Total bytes appends wrote into the row store: delta rows plus
+    /// at most one copied chunk per append — never the pre-existing
+    /// table.
     pub bytes_materialized: u64,
 }
 
@@ -289,9 +291,11 @@ pub struct ServeTelemetry {
     /// validated ASCII (`[A-Za-z0-9._@-]`), so they embed in JSON
     /// without escaping.
     pub principals: Vec<(String, f64)>,
-    /// Median end-to-end request latency in milliseconds.
+    /// Median end-to-end request latency in milliseconds (the serve
+    /// plane reports it from log buckets, within 1/16 of exact).
     pub p50_ms: f64,
-    /// 99th-percentile end-to-end request latency in milliseconds.
+    /// 99th-percentile end-to-end request latency in milliseconds
+    /// (same resolution as `p50_ms`).
     pub p99_ms: f64,
 }
 

@@ -45,4 +45,4 @@ pub use exec::ExecutionPolicy;
 pub use policy::ChamberPolicy;
 pub use program::{BlockProgram, ClosureProgram, RowSliceProgram};
 pub use scratch::Scratch;
-pub use view::{BlockRows, BlockView, RowStore};
+pub use view::{BlockRows, BlockView, RowStore, CHUNK_ROWS};

@@ -6,8 +6,12 @@
 //! γ times per query before a single chamber runs. This module replaces
 //! that plane with sharing:
 //!
-//! - [`RowStore`] holds the table **once**, as a flat row-major `f64`
-//!   buffer plus a row arity, and is handed around behind an `Arc`.
+//! - [`RowStore`] holds the table **once** and is handed around behind
+//!   an `Arc`. The registered rows are one contiguous row-major `f64`
+//!   segment; rows appended later go into fixed [`CHUNK_ROWS`]-row
+//!   chunks. Both are `Arc`-shared, so cloning a store (a snapshot)
+//!   copies the chunk list, never row data, and an append copies at
+//!   most the one partly filled chunk a snapshot still reads.
 //! - [`BlockView`] is a cheap handle onto a store: either a dense index
 //!   range or a shared sparse index list. Cloning a view copies two
 //!   pointers and two integers — never row data — so shipping γ·⌈n/β⌉
@@ -16,40 +20,64 @@
 //!
 //! Read-only sharing preserves the §6 isolation story: a program holding
 //! a `BlockView` can *read* exactly its block's rows and nothing else —
-//! the view API has no mutators, no neighbouring-row access, and the
-//! store behind the `Arc` is immutable by construction.
+//! the view API has no mutators, no neighbouring-row access, and a
+//! segment is only ever written while no other store shares it.
 
 use std::ops::Range;
-use std::slice;
 use std::sync::Arc;
+use std::{iter, slice};
 
-/// An immutable, contiguous, row-major table of `f64` values.
+/// log2 of [`CHUNK_ROWS`].
+const CHUNK_SHIFT: u32 = 12;
+
+/// Rows per appended chunk. Only a store's last chunk is ever partly
+/// filled, so appended row `j` sits at offset `j % CHUNK_ROWS` of chunk
+/// `j / CHUNK_ROWS` (a shift and a mask).
+pub const CHUNK_ROWS: usize = 1 << CHUNK_SHIFT;
+
+/// An immutable-by-sharing, row-major table of `f64` values.
 ///
-/// Constructed once at dataset registration and shared behind an `Arc`
-/// by every [`BlockView`] derived from it. All rows have the same arity
-/// ([`RowStore::dimension`]); row `i` lives at `data[i*arity..(i+1)*arity]`.
-#[derive(Debug, Clone, PartialEq)]
+/// The rows given at construction form one contiguous *registered*
+/// segment; [`RowStore::append_rows`] adds rows in fixed-size chunks
+/// after it. All rows have the same arity ([`RowStore::dimension`]).
+/// Segments are `Arc`-shared between clones and written only while
+/// unshared, so a clone taken before an append keeps seeing exactly
+/// the rows it had. Equality compares rows, not segmentation.
+#[derive(Debug, Clone)]
 pub struct RowStore {
-    data: Vec<f64>,
+    /// The registered rows, `base_rows · arity` values.
+    base: Arc<[f64]>,
+    base_rows: usize,
+    /// Appended rows, [`CHUNK_ROWS`] per chunk; only the last chunk may
+    /// be partly filled (its unfilled tail is zeros no row reaches).
+    /// Each chunk is allocated at its full size, so a row lookup is one
+    /// load of the chunk's pointer.
+    chunks: Vec<Arc<[f64]>>,
     arity: usize,
     rows: usize,
 }
 
 impl RowStore {
-    /// Builds a store by flattening `rows`.
+    /// Builds a store whose registered segment holds `rows`.
     ///
     /// All rows must share the first row's arity (the caller validates
     /// shape; this constructor only asserts it). An empty slice yields
     /// an empty store of dimension 0.
     pub fn from_rows(rows: &[Vec<f64>]) -> RowStore {
         let arity = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(rows.len() * arity);
         for row in rows {
             assert_eq!(row.len(), arity, "all rows must share one arity");
-            data.extend_from_slice(row);
         }
+        // `Range::map` is `TrustedLen`, so the segment is allocated once
+        // at its final size and filled in place, with no flat `Vec` first.
+        let mut values = rows.iter().flatten().copied();
+        let base: Arc<[f64]> = (0..rows.len() * arity)
+            .map(|_| values.next().expect("one value per cell"))
+            .collect();
         RowStore {
-            data,
+            base,
+            base_rows: rows.len(),
+            chunks: Vec::new(),
             arity,
             rows: rows.len(),
         }
@@ -70,64 +98,65 @@ impl RowStore {
             );
             data.len() / arity
         };
-        RowStore { data, arity, rows }
-    }
-
-    /// Builds a store holding `base`'s rows followed by `delta` — the
-    /// incremental-ingest growth path.
-    ///
-    /// Only the delta is flattened row by row (and shape-asserted);
-    /// `base`'s already-flat buffer is block-copied wholesale, so the
-    /// per-row materialisation cost of an append is proportional to the
-    /// delta alone, not the table. When `base` is empty the delta's
-    /// first row sets the arity; otherwise every delta row must match
-    /// `base`'s arity.
-    pub fn with_appended(base: &RowStore, delta: &[Vec<f64>]) -> RowStore {
-        let arity = if base.rows == 0 && base.arity == 0 {
-            delta.first().map_or(0, Vec::len)
-        } else {
-            base.arity
-        };
-        let mut data = Vec::with_capacity(base.data.len() + delta.len() * arity);
-        data.extend_from_slice(&base.data);
-        for row in delta {
-            assert_eq!(
-                row.len(),
-                arity,
-                "appended rows must share the store's arity"
-            );
-            data.extend_from_slice(row);
-        }
         RowStore {
-            data,
+            base: Arc::from(data),
+            base_rows: rows,
+            chunks: Vec::new(),
             arity,
-            rows: base.rows + delta.len(),
+            rows,
         }
     }
 
-    /// Appends `delta` onto the store in place — the mutating twin of
-    /// [`RowStore::with_appended`] for callers holding exclusive access
-    /// to the store.
+    /// Appends `delta` after the store's last row and returns the bytes
+    /// this wrote: the delta's values plus, when another store (a
+    /// snapshot) still shares the partly filled last chunk, that chunk's
+    /// rows, which are copied first so the snapshot never sees the
+    /// append. Full chunks and the registered segment are never copied.
     ///
-    /// Amortized O(delta): the flat buffer grows with `Vec`'s doubling,
-    /// so a stream of appends touches the base only on the rare
-    /// reallocation instead of copying it every time. Same shape rule
-    /// as [`RowStore::with_appended`]: the delta's first row sets the
-    /// arity of an empty store, otherwise every row must match.
-    pub fn append_rows(&mut self, delta: &[Vec<f64>]) {
+    /// The delta's first row sets the arity of an empty store of
+    /// dimension 0; otherwise every row must match the store's arity
+    /// (panics on a mismatch, keeping the rows before it).
+    pub fn append_rows<R: AsRef<[f64]>>(&mut self, delta: impl IntoIterator<Item = R>) -> usize {
+        let mut delta = delta.into_iter().peekable();
         if self.rows == 0 && self.arity == 0 {
-            self.arity = delta.first().map_or(0, Vec::len);
+            self.arity = delta.peek().map_or(0, |row| row.as_ref().len());
         }
-        self.data.reserve(delta.len() * self.arity);
-        for row in delta {
-            assert_eq!(
-                row.len(),
-                self.arity,
-                "appended rows must share the store's arity"
-            );
-            self.data.extend_from_slice(row);
+        let arity = self.arity;
+        let size = CHUNK_ROWS * arity;
+        let mut written = 0;
+        while delta.peek().is_some() {
+            let filled = (self.rows - self.base_rows) & (CHUNK_ROWS - 1);
+            if filled == 0 {
+                self.chunks.push(iter::repeat_n(0.0, size).collect());
+            }
+            let tail = self.chunks.last_mut().expect("an open chunk");
+            if Arc::get_mut(tail).is_none() {
+                // A snapshot reads this chunk: copy its filled rows.
+                let kept = filled * arity;
+                let zeros = iter::repeat_n(0.0, size - kept);
+                *tail = tail[..kept].iter().copied().chain(zeros).collect();
+                written += kept;
+            }
+            let tail = Arc::get_mut(tail).expect("the open chunk is unshared");
+            let mut added = 0;
+            let mut mismatch = None;
+            for row in delta.by_ref().take(CHUNK_ROWS - filled) {
+                let row = row.as_ref();
+                if row.len() != arity {
+                    mismatch = Some(row.len());
+                    break;
+                }
+                let at = (filled + added) * arity;
+                tail[at..at + arity].copy_from_slice(row);
+                added += 1;
+            }
+            self.rows += added;
+            written += added * arity;
+            if let Some(len) = mismatch {
+                panic!("appended rows must share the store's arity {arity}, got a row of {len}");
+            }
         }
-        self.rows += delta.len();
+        written * std::mem::size_of::<f64>()
     }
 
     /// Number of rows.
@@ -145,127 +174,80 @@ impl RowStore {
         self.arity
     }
 
-    /// Row `i` as a slice (panics when out of bounds).
+    /// Row `i` as a slice (panics when out of bounds). Registered rows
+    /// are read straight off their segment; only appended rows are
+    /// looked up by (chunk, offset).
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.arity..(i + 1) * self.arity]
+        // One bounds check, as on a flat buffer; it fails exactly for
+        // rows past the registered segment.
+        match self.base.get(i * self.arity..(i + 1) * self.arity) {
+            Some(row) => row,
+            None => self.appended_row(i - self.base_rows),
+        }
+    }
+
+    /// Appended row `j` (row `base_rows + j` of the store).
+    fn appended_row(&self, j: usize) -> &[f64] {
+        assert!(
+            j < self.rows - self.base_rows,
+            "row {} out of bounds for store of {} rows",
+            self.base_rows + j,
+            self.rows
+        );
+        let offset = (j & (CHUNK_ROWS - 1)) * self.arity;
+        &self.chunks[j >> CHUNK_SHIFT][offset..offset + self.arity]
     }
 
     /// Iterates over all rows in order.
     pub fn iter_rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
-        self.data.chunks_exact(self.arity.max(1)).take(self.rows)
+        (0..self.rows).map(move |i| self.row(i))
     }
 
-    /// The flat row-major buffer (row `i` occupies
-    /// `flat[i*dimension()..(i+1)*dimension()]`).
-    pub fn flat(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// The flat values of rows `start..end` — a zero-copy window over a
-    /// contiguous row range, used by the streaming plane to hash and
-    /// age window contents without materialising them. Panics when the
-    /// range is out of bounds or inverted.
-    pub fn flat_range(&self, start: usize, end: usize) -> &[f64] {
-        assert!(start <= end, "row range inverted");
-        assert!(end <= self.rows, "row range out of bounds");
-        &self.data[start * self.arity..end * self.arity]
+    /// The row-major values of rows `rows`, one slice per segment the
+    /// range touches, in row order: the registered part first, then
+    /// each chunk's part. Hashing or copying window contents walks
+    /// these without materialising them. Panics when the range is
+    /// inverted or out of bounds.
+    pub fn segments(&self, rows: Range<usize>) -> impl Iterator<Item = &[f64]> + '_ {
+        assert!(rows.start <= rows.end, "row range inverted");
+        assert!(rows.end <= self.rows, "row range out of bounds");
+        let (a, base_rows) = (self.arity, self.base_rows);
+        let registered = &self.base[rows.start.min(base_rows) * a..rows.end.min(base_rows) * a];
+        // The appended part, as offsets past the registered segment.
+        let lo = rows.start.max(base_rows) - base_rows;
+        let hi = rows.end.max(base_rows) - base_rows;
+        let chunks = if lo < hi {
+            lo >> CHUNK_SHIFT..((hi - 1) >> CHUNK_SHIFT) + 1
+        } else {
+            0..0
+        };
+        iter::once(registered).chain(chunks.map(move |c| {
+            let first = c << CHUNK_SHIFT;
+            let from = lo.max(first) - first;
+            let to = hi.min(first + CHUNK_ROWS) - first;
+            &self.chunks[c][from * a..to * a]
+        }))
     }
 
     /// Size of the row payload in bytes — what the legacy clone plane
     /// would copy per materialisation.
     pub fn payload_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
+        self.rows * self.arity * std::mem::size_of::<f64>()
     }
 
     /// Deep-copies the store back into nested rows (legacy shape).
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.iter_rows().map(<[f64]>::to_vec).collect()
     }
-
-    /// Sums column `d` over rows `start..start+len` with a chunked,
-    /// autovectorisable accumulation over the flat buffer.
-    ///
-    /// This is the hot inner loop of every mean/sum-shaped chamber
-    /// program: for single-column stores it reduces a contiguous `f64`
-    /// slice in independent lanes; for wider rows it runs a strided
-    /// unrolled loop. Both orders are fixed, so results are
-    /// deterministic (though not bit-identical to a naive left fold).
-    pub fn column_sum_range(&self, d: usize, start: usize, len: usize) -> f64 {
-        assert!(d < self.arity, "column {d} out of bounds");
-        assert!(start + len <= self.rows, "row range out of bounds");
-        if self.arity == 1 {
-            return sum_lanes(&self.data[start..start + len]);
-        }
-        let stride = self.arity;
-        let base = start * stride + d;
-        let mut acc = [0.0f64; 4];
-        let mut r = 0;
-        while r + 4 <= len {
-            for (k, a) in acc.iter_mut().enumerate() {
-                *a += self.data[base + (r + k) * stride];
-            }
-            r += 4;
-        }
-        let mut tail = 0.0;
-        while r < len {
-            tail += self.data[base + r * stride];
-            r += 1;
-        }
-        acc.iter().sum::<f64>() + tail
-    }
-
-    /// Like [`RowStore::column_sum_range`], clamping every value into
-    /// `[lo, hi]` before accumulating (the clamp half of the
-    /// sample-and-aggregate per-block loop). Non-finite values collapse
-    /// to a bound rather than poisoning the sum.
-    pub fn column_clamped_sum_range(
-        &self,
-        d: usize,
-        start: usize,
-        len: usize,
-        lo: f64,
-        hi: f64,
-    ) -> f64 {
-        assert!(d < self.arity, "column {d} out of bounds");
-        assert!(start + len <= self.rows, "row range out of bounds");
-        let stride = self.arity;
-        let base = start * stride + d;
-        if stride == 1 {
-            return self.data[start..start + len]
-                .chunks(8)
-                .map(|c| c.iter().map(|v| v.min(hi).max(lo)).sum::<f64>())
-                .sum();
-        }
-        let mut acc = [0.0f64; 4];
-        let mut r = 0;
-        while r + 4 <= len {
-            for (k, a) in acc.iter_mut().enumerate() {
-                *a += self.data[base + (r + k) * stride].min(hi).max(lo);
-            }
-            r += 4;
-        }
-        let mut tail = 0.0;
-        while r < len {
-            tail += self.data[base + r * stride].min(hi).max(lo);
-            r += 1;
-        }
-        acc.iter().sum::<f64>() + tail
-    }
 }
 
-/// Lane-split reduction of a contiguous slice: 8 independent partial
-/// sums the optimiser can keep in vector registers, plus a scalar tail.
-fn sum_lanes(xs: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 8];
-    let mut chunks = xs.chunks_exact(8);
-    for c in &mut chunks {
-        for (a, v) in acc.iter_mut().zip(c) {
-            *a += v;
-        }
+impl PartialEq for RowStore {
+    fn eq(&self, other: &RowStore) -> bool {
+        self.arity == other.arity
+            && self.rows == other.rows
+            && self.iter_rows().eq(other.iter_rows())
     }
-    let tail: f64 = chunks.remainder().iter().sum();
-    acc.iter().sum::<f64>() + tail
 }
 
 /// Which rows of the store a [`BlockView`] exposes.
@@ -276,7 +258,9 @@ enum ViewIndices {
     Dense { start: usize, len: usize },
     /// An explicit index list shared with the block plan. `Arc`-backed
     /// so cloning the view never copies the indices either.
-    Sparse(Arc<[usize]>),
+    /// `registered` records, from the one bounds scan at construction,
+    /// whether every index lies in the store's registered segment.
+    Sparse { idx: Arc<[usize]>, registered: bool },
 }
 
 /// A read-only window onto an [`Arc<RowStore>`]: the block a chamber
@@ -305,9 +289,13 @@ impl BlockView {
             indices.iter().all(|&i| i < n),
             "block index out of bounds for store of {n} rows"
         );
+        let registered = store.base_rows == n || indices.iter().all(|&i| i < store.base_rows);
         BlockView {
             store,
-            indices: ViewIndices::Sparse(indices),
+            indices: ViewIndices::Sparse {
+                idx: indices,
+                registered,
+            },
         }
     }
 
@@ -342,7 +330,7 @@ impl BlockView {
     pub fn len(&self) -> usize {
         match &self.indices {
             ViewIndices::Dense { len, .. } => *len,
-            ViewIndices::Sparse(idx) => idx.len(),
+            ViewIndices::Sparse { idx, .. } => idx.len(),
         }
     }
 
@@ -363,18 +351,32 @@ impl BlockView {
                 assert!(i < *len, "row {i} out of bounds for block of {len} rows");
                 self.store.row(start + i)
             }
-            ViewIndices::Sparse(idx) => self.store.row(idx[i]),
+            ViewIndices::Sparse { idx, .. } => self.store.row(idx[i]),
         }
     }
 
     /// Iterates over the block's rows in block order.
     pub fn iter(&self) -> BlockRows<'_> {
+        let store = &*self.store;
         let rows = match &self.indices {
-            ViewIndices::Dense { start, len } => RowIndices::Dense(*start..start + len),
-            ViewIndices::Sparse(idx) => RowIndices::Sparse(idx.iter()),
+            ViewIndices::Sparse {
+                idx,
+                registered: true,
+            } => RowIndices::Registered(idx.iter()),
+            ViewIndices::Sparse { idx, .. } => RowIndices::Segmented {
+                store,
+                sparse: idx.iter(),
+                dense: 0..0,
+            },
+            ViewIndices::Dense { start, len } => RowIndices::Segmented {
+                store,
+                sparse: [].iter(),
+                dense: *start..start + len,
+            },
         };
         BlockRows {
-            store: &self.store,
+            registered: &store.base,
+            arity: store.arity,
             rows,
         }
     }
@@ -391,7 +393,7 @@ impl BlockView {
     pub fn index_bytes(&self) -> usize {
         match &self.indices {
             ViewIndices::Dense { .. } => 0,
-            ViewIndices::Sparse(idx) => idx.len() * std::mem::size_of::<usize>(),
+            ViewIndices::Sparse { idx, .. } => idx.len() * std::mem::size_of::<usize>(),
         }
     }
 
@@ -402,40 +404,6 @@ impl BlockView {
     /// equivalence tests. New programs should iterate the view directly.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.iter().map(<[f64]>::to_vec).collect()
-    }
-
-    /// Sum of column `d` over the block, vectorised for dense views
-    /// (chunked reduction straight over the shared flat buffer — see
-    /// [`RowStore::column_sum_range`]); sparse views gather per index.
-    pub fn column_sum(&self, d: usize) -> f64 {
-        match &self.indices {
-            ViewIndices::Dense { start, len } => self.store.column_sum_range(d, *start, *len),
-            ViewIndices::Sparse(idx) => idx.iter().map(|&i| self.store.row(i)[d]).sum(),
-        }
-    }
-
-    /// Mean of column `d` over the block (0 for an empty block).
-    pub fn column_mean(&self, d: usize) -> f64 {
-        let n = self.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.column_sum(d) / n as f64
-    }
-
-    /// Sum of column `d` with every value clamped into `[lo, hi]` —
-    /// the fused clamp+sum inner loop of sample-and-aggregate block
-    /// programs, vectorised for dense views.
-    pub fn column_clamped_sum(&self, d: usize, lo: f64, hi: f64) -> f64 {
-        match &self.indices {
-            ViewIndices::Dense { start, len } => {
-                self.store.column_clamped_sum_range(d, *start, *len, lo, hi)
-            }
-            ViewIndices::Sparse(idx) => idx
-                .iter()
-                .map(|&i| self.store.row(i)[d].min(hi).max(lo))
-                .sum(),
-        }
     }
 }
 
@@ -452,15 +420,30 @@ impl<'a> IntoIterator for &'a BlockView {
 /// indices directly, so a row costs one index step and one store slice.
 #[derive(Debug)]
 pub struct BlockRows<'a> {
-    store: &'a RowStore,
+    /// The store's registered segment and row arity.
+    registered: &'a [f64],
+    arity: usize,
     rows: RowIndices<'a>,
 }
 
 /// The store indices a [`BlockRows`] has yet to yield.
+///
+/// The kind is fixed for the whole walk, so the per-row `match` is
+/// loop-invariant and the compiler can specialise the loop on it.
 #[derive(Debug)]
 enum RowIndices<'a> {
-    Dense(Range<usize>),
-    Sparse(slice::Iter<'a, usize>),
+    /// Indices that all lie in the registered segment — every block of
+    /// a query plan over registered rows: each row is one slice of the
+    /// segment, exactly as on a flat table.
+    Registered(slice::Iter<'a, usize>),
+    /// Indices that may reach appended rows, or a dense range (exactly
+    /// one of the two is non-empty): each row goes through
+    /// [`RowStore::row`].
+    Segmented {
+        store: &'a RowStore,
+        sparse: slice::Iter<'a, usize>,
+        dense: Range<usize>,
+    },
 }
 
 impl<'a> Iterator for BlockRows<'a> {
@@ -468,18 +451,33 @@ impl<'a> Iterator for BlockRows<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<&'a [f64]> {
-        let i = match &mut self.rows {
-            RowIndices::Dense(range) => range.next()?,
-            RowIndices::Sparse(idx) => *idx.next()?,
-        };
-        Some(self.store.row(i))
+        match &mut self.rows {
+            RowIndices::Registered(idx) => {
+                let i = *idx.next()?;
+                Some(&self.registered[i * self.arity..(i + 1) * self.arity])
+            }
+            RowIndices::Segmented {
+                store,
+                sparse,
+                dense,
+            } => {
+                let i = match sparse.next() {
+                    Some(&i) => i,
+                    None => dense.next()?,
+                };
+                Some(store.row(i))
+            }
+        }
     }
 
+    // Inlined so the iterator stays in registers inside callers' loops.
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.rows {
-            RowIndices::Dense(range) => range.size_hint(),
-            RowIndices::Sparse(idx) => idx.size_hint(),
-        }
+        let left = match &self.rows {
+            RowIndices::Registered(idx) => idx.len(),
+            RowIndices::Segmented { sparse, dense, .. } => sparse.len() + dense.len(),
+        };
+        (left, Some(left))
     }
 }
 
@@ -530,69 +528,96 @@ mod tests {
         RowStore::from_flat(vec![1.0, 2.0, 3.0], 2);
     }
 
+    /// Registered rows `0..n` then appended rows `n..n + m`, each row
+    /// `[i, -i]`, next to the same rows as nested vectors.
+    fn grown(n: usize, m: usize) -> (RowStore, Vec<Vec<f64>>) {
+        let rows: Vec<Vec<f64>> = (0..n + m).map(|i| vec![i as f64, -(i as f64)]).collect();
+        let mut s = RowStore::from_rows(&rows[..n]);
+        let written = s.append_rows(&rows[n..]);
+        assert_eq!(
+            written,
+            m * 2 * 8,
+            "an unshared store writes the delta only"
+        );
+        (s, rows)
+    }
+
     #[test]
-    fn flat_range_windows_the_buffer() {
-        let s = RowStore::from_rows(&[vec![0.0, 10.0], vec![1.0, 11.0], vec![2.0, 12.0]]);
-        assert_eq!(s.flat_range(1, 3), &[1.0, 11.0, 2.0, 12.0]);
-        assert_eq!(s.flat_range(0, 3), s.flat());
-        assert!(s.flat_range(2, 2).is_empty());
+    fn segments_walk_the_rows_in_order() {
+        let (s, rows) = grown(5, 2 * CHUNK_ROWS + 7);
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        for (start, end) in [
+            (0, s.len()),
+            (0, 5),
+            (3, 9),
+            (5, 5 + CHUNK_ROWS),
+            (4 + CHUNK_ROWS, 6 + 2 * CHUNK_ROWS),
+            (s.len() - 1, s.len()),
+            (7, 7),
+        ] {
+            let walked: Vec<f64> = s.segments(start..end).flatten().copied().collect();
+            assert_eq!(walked, flat[start * 2..end * 2], "rows {start}..{end}");
+        }
+        // One slice for the registered part, one per chunk touched.
+        assert_eq!(s.segments(0..s.len()).count(), 4);
+        assert_eq!(s.segments(0..3).count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn flat_range_rejects_overrun() {
-        let s = RowStore::from_rows(&[vec![1.0]]);
-        s.flat_range(0, 2);
+    fn segments_reject_overrun() {
+        let (s, _) = grown(1, 1);
+        s.segments(0..3).count();
     }
 
     #[test]
-    #[should_panic(expected = "one arity")]
-    fn from_rows_rejects_ragged() {
-        RowStore::from_rows(&[vec![1.0], vec![2.0, 3.0]]);
+    fn appends_fill_chunks_behind_the_registered_rows() {
+        let (s, rows) = grown(3, CHUNK_ROWS + 2);
+        assert_eq!(s.len(), rows.len());
+        assert_eq!(s.dimension(), 2);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(s.row(i), row.as_slice());
+        }
+        assert_eq!(s.iter_rows().len(), rows.len());
+        assert_eq!(s.to_rows(), rows);
+        assert_eq!(s.payload_bytes(), rows.len() * 2 * 8);
+        // Rows compare, not layout: the same rows registered in one
+        // piece, or copied out, are equal stores.
+        assert_eq!(s, RowStore::from_rows(&rows));
+        assert_ne!(s, RowStore::from_rows(&rows[1..]));
     }
 
     #[test]
-    fn with_appended_grows_without_rewalking_base_rows() {
-        let base = RowStore::from_rows(&[vec![0.0, 10.0], vec![1.0, 11.0]]);
-        let grown = RowStore::with_appended(&base, &[vec![2.0, 12.0], vec![3.0, 13.0]]);
-        assert_eq!(grown.len(), 4);
-        assert_eq!(grown.dimension(), 2);
-        assert_eq!(grown.row(1), &[1.0, 11.0]);
-        assert_eq!(grown.row(3), &[3.0, 13.0]);
-        // Appending to the grown store again keeps the invariants.
-        let again = RowStore::with_appended(&grown, &[]);
-        assert_eq!(again, grown);
-    }
-
-    #[test]
-    fn with_appended_to_empty_store_adopts_delta_arity() {
-        let empty = RowStore::from_rows(&[]);
-        let grown = RowStore::with_appended(&empty, &[vec![7.0, 8.0, 9.0]]);
-        assert_eq!(grown.len(), 1);
-        assert_eq!(grown.dimension(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "share the store's arity")]
-    fn with_appended_rejects_mismatched_arity() {
-        let base = RowStore::from_rows(&[vec![1.0, 2.0]]);
-        RowStore::with_appended(&base, &[vec![3.0]]);
-    }
-
-    #[test]
-    fn in_place_append_matches_the_copying_path() {
-        let mut grown = RowStore::from_rows(&[vec![0.0, 10.0], vec![1.0, 11.0]]);
-        let copied = RowStore::with_appended(&grown, &[vec![2.0, 12.0], vec![3.0, 13.0]]);
-        grown.append_rows(&[vec![2.0, 12.0], vec![3.0, 13.0]]);
-        assert_eq!(grown, copied);
-        // An empty store adopts the delta's arity, like the copy path.
+    fn append_to_an_empty_store_adopts_the_delta_arity() {
         let mut empty = RowStore::from_rows(&[]);
-        empty.append_rows(&[vec![7.0, 8.0, 9.0]]);
+        assert_eq!(empty.append_rows(&[vec![7.0, 8.0, 9.0]]), 3 * 8);
         assert_eq!(empty.len(), 1);
         assert_eq!(empty.dimension(), 3);
-        // And an empty delta is a no-op.
-        empty.append_rows(&[]);
+        // An empty delta is a no-op.
+        assert_eq!(empty.append_rows(&[] as &[Vec<f64>]), 0);
         assert_eq!(empty.len(), 1);
+    }
+
+    #[test]
+    fn append_under_a_clone_copies_only_the_open_chunk() {
+        let (mut s, _) = grown(10, CHUNK_ROWS + 5);
+        let snapshot = s.clone();
+        let written = s.append_rows(vec![vec![1.0, 2.0]; 3]);
+        // The delta plus the 5 rows of the open chunk the clone holds.
+        assert_eq!(written, (3 + 5) * 2 * 8);
+        assert_eq!(snapshot.len(), 10 + CHUNK_ROWS + 5, "the clone is frozen");
+        assert_eq!(s.len(), snapshot.len() + 3);
+        // Registered rows and the full chunk are shared, not copied.
+        for i in [0, 9, 10, CHUNK_ROWS + 9] {
+            assert_eq!(s.row(i).as_ptr(), snapshot.row(i).as_ptr(), "row {i}");
+        }
+        assert_ne!(
+            s.row(CHUNK_ROWS + 10).as_ptr(),
+            snapshot.row(CHUNK_ROWS + 10).as_ptr()
+        );
+        // Once unshared, the copied chunk fills in place.
+        drop(snapshot);
+        assert_eq!(s.append_rows(&[vec![0.0, 0.0]]), 2 * 8);
     }
 
     #[test]
@@ -600,6 +625,12 @@ mod tests {
     fn in_place_append_rejects_mismatched_arity() {
         let mut base = RowStore::from_rows(&[vec![1.0, 2.0]]);
         base.append_rows(&[vec![3.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one arity")]
+    fn from_rows_rejects_ragged() {
+        RowStore::from_rows(&[vec![1.0], vec![2.0, 3.0]]);
     }
 
     #[test]
@@ -686,58 +717,5 @@ mod tests {
             assert_eq!(rows.size_hint(), (0, Some(0)));
             assert_eq!(rows.next(), None);
         }
-    }
-
-    #[test]
-    fn column_sum_matches_naive_on_dense_and_sparse() {
-        // 100 single-column rows: both the lane-chunked contiguous path
-        // and the sparse gather must agree with a naive fold.
-        let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 * 0.5]).collect();
-        let s = Arc::new(RowStore::from_rows(&rows));
-        let naive: f64 = rows.iter().map(|r| r[0]).sum();
-        let dense = BlockView::full(Arc::clone(&s));
-        assert!((dense.column_sum(0) - naive).abs() < 1e-9);
-        let idx: Arc<[usize]> = (0..100).collect::<Vec<_>>().into();
-        let sparse = BlockView::sparse(Arc::clone(&s), idx);
-        assert!((sparse.column_sum(0) - naive).abs() < 1e-9);
-        // Window into the middle exercises the offset math.
-        let window = BlockView::dense(s, 10, 37);
-        let naive_window: f64 = rows[10..47].iter().map(|r| r[0]).sum();
-        assert!((window.column_sum(0) - naive_window).abs() < 1e-9);
-    }
-
-    #[test]
-    fn column_sum_strided_multi_column() {
-        let rows: Vec<Vec<f64>> = (0..23).map(|i| vec![i as f64, 100.0 + i as f64]).collect();
-        let v = BlockView::from_rows(&rows);
-        let naive0: f64 = rows.iter().map(|r| r[0]).sum();
-        let naive1: f64 = rows.iter().map(|r| r[1]).sum();
-        assert!((v.column_sum(0) - naive0).abs() < 1e-9);
-        assert!((v.column_sum(1) - naive1).abs() < 1e-9);
-        assert!((v.column_mean(1) - naive1 / 23.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn column_clamped_sum_clamps_each_value() {
-        let v = BlockView::from_rows(&[vec![-5.0], vec![3.0], vec![50.0], vec![f64::NAN]]);
-        // -5 → 0, 3 → 3, 50 → 10, NaN collapses to a bound (10).
-        assert_eq!(v.column_clamped_sum(0, 0.0, 10.0), 23.0);
-        let wide: Vec<Vec<f64>> = (0..9).map(|i| vec![0.0, i as f64]).collect();
-        let w = BlockView::from_rows(&wide);
-        // Column 1 clamped into [2, 6]: 2+2+2+3+4+5+6+6+6.
-        assert_eq!(w.column_clamped_sum(1, 2.0, 6.0), 36.0);
-    }
-
-    #[test]
-    fn column_mean_of_empty_block_is_zero() {
-        let s = Arc::new(RowStore::from_rows(&[vec![1.0]]));
-        let v = BlockView::dense(s, 0, 0);
-        assert_eq!(v.column_mean(0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn column_sum_rejects_bad_column() {
-        BlockView::from_rows(&[vec![1.0]]).column_sum(3);
     }
 }

@@ -60,6 +60,7 @@
 pub mod catalog;
 pub mod client;
 pub mod json;
+mod latency;
 pub mod protocol;
 pub mod server;
 

@@ -16,6 +16,7 @@
 
 use crate::catalog;
 use crate::json::{self, Value};
+use crate::latency::LatencyHistogram;
 use crate::protocol::{
     bad_request, error_response, json_f64, json_string, read_frame, sql_error_response,
     version_supported, write_frame, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
@@ -68,7 +69,8 @@ struct ServeState {
     accepted: AtomicU64,
     refused: AtomicU64,
     in_flight: AtomicUsize,
-    latencies_us: Mutex<Vec<u64>>,
+    /// Service time of every answered request, for the `stats` p50/p99.
+    latencies_us: LatencyHistogram,
     active: Mutex<Vec<(u64, TcpStream)>>,
     next_conn_id: AtomicU64,
     /// Per-principal ingest attribution: principal → (appends, rows).
@@ -122,7 +124,7 @@ impl GuptServer {
             accepted: AtomicU64::new(0),
             refused: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
-            latencies_us: Mutex::new(Vec::new()),
+            latencies_us: LatencyHistogram::new(),
             active: Mutex::new(Vec::new()),
             next_conn_id: AtomicU64::new(0),
             append_principals: Mutex::new(BTreeMap::new()),
@@ -176,7 +178,8 @@ impl ServerHandle {
 
     /// Builds the schema-v4 `serve` telemetry object: counters,
     /// per-principal ε spent aggregated across datasets, and latency
-    /// percentiles over every request answered so far.
+    /// percentiles over every request answered so far (read from a
+    /// fixed log-bucket histogram, within 1/16 of the exact value).
     pub fn serve_telemetry(&self) -> ServeTelemetry {
         serve_telemetry(&self.state)
     }
@@ -290,7 +293,7 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
         let (response, ok, shutdown_requested) = handle_request(state, &payload);
         let elapsed_us = start.elapsed().as_micros() as u64;
         state.in_flight.fetch_sub(1, Ordering::Relaxed);
-        lock(&state.latencies_us).push(elapsed_us);
+        state.latencies_us.record(elapsed_us);
         if ok {
             state.accepted.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -899,10 +902,10 @@ fn serve_telemetry(state: &Arc<ServeState>) -> ServeTelemetry {
             }
         }
     }
-    let (p50_ms, p99_ms) = {
-        let lat = lock(&state.latencies_us);
-        (percentile_ms(&lat, 50.0), percentile_ms(&lat, 99.0))
-    };
+    let [p50_ms, p99_ms] = state
+        .latencies_us
+        .percentiles([50.0, 99.0])
+        .map(|us| us as f64 / 1e3);
     ServeTelemetry {
         accepted: state.accepted.load(Ordering::Relaxed),
         refused: state.refused.load(Ordering::Relaxed),
@@ -911,18 +914,6 @@ fn serve_telemetry(state: &Arc<ServeState>) -> ServeTelemetry {
         p50_ms,
         p99_ms,
     }
-}
-
-/// Nearest-rank percentile over microsecond samples, in milliseconds.
-/// 0 when no requests have completed yet.
-fn percentile_ms(samples_us: &[u64], pct: f64) -> f64 {
-    if samples_us.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples_us.to_vec();
-    sorted.sort_unstable();
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1] as f64 / 1e3
 }
 
 #[cfg(test)]
@@ -1629,14 +1620,5 @@ mod tests {
         assert_eq!(resp.get("status").unwrap().as_str(), Some("ok"));
         assert!(server.shutdown_requested());
         server.wait();
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let us: Vec<u64> = (1..=100).map(|i| i * 1000).collect();
-        assert_eq!(percentile_ms(&us, 50.0), 50.0);
-        assert_eq!(percentile_ms(&us, 99.0), 99.0);
-        assert_eq!(percentile_ms(&[], 99.0), 0.0);
-        assert_eq!(percentile_ms(&[7_000], 50.0), 7.0);
     }
 }

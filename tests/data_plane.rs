@@ -13,12 +13,20 @@
 //! 2. **γ-coverage** — resampling places every record in exactly γ
 //!    views, so the privacy amplification argument (§4.2, average
 //!    sensitivity γ·s/ℓ) carries over to the zero-copy plane unchanged.
+//!
+//! A third pins the segmented store: registered rows plus appended and
+//! aged chunks read, and hash, exactly like the same rows registered in
+//! one piece.
 
-use gupt::core::{partition_range, BlockPlan, GuptRuntimeBuilder, QuerySpec, RangeEstimation};
+use gupt::core::stream::window_epoch;
+use gupt::core::{
+    partition_range, BlockPlan, Dataset, DatasetManager, GuptRuntimeBuilder, QuerySpec,
+    RangeEstimation,
+};
 use gupt::dp::{Epsilon, OutputRange};
-use gupt::sandbox::{BlockView, RowStore};
+use gupt::sandbox::{BlockView, RowStore, CHUNK_ROWS};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::sync::Arc;
 
 /// Rows `[i, 2i]` so record identity is recoverable from the payload.
@@ -132,5 +140,98 @@ proptest! {
             }
         }
         prop_assert!(counts.iter().all(|&c| c == gamma));
+    }
+
+    // A store grown by appends spanning at least three chunks — some
+    // made while snapshots hold the store — and an aged store grown over
+    // many aging steps read like nested-vector references, through
+    // `row`, `iter_rows`, `to_rows` and views, and hash like the same
+    // rows registered in one piece.
+    #[test]
+    fn segmented_stores_read_and_hash_like_one_piece(
+        registered in 1usize..1_500, arity in 1usize..4, seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let row = |i: usize| -> Vec<f64> {
+            (0..arity).map(|d| (i * 31 + d) as f64 * 0.25 - 7.0).collect()
+        };
+        let mut reference: Vec<Vec<f64>> = (0..registered).map(row).collect();
+        let mut ds = Dataset::new(reference.clone()).unwrap();
+        let mut snapshots = Vec::new();
+        let mut aged = 0;
+        while ds.len() - registered <= 2 * CHUNK_ROWS {
+            let delta: Vec<Vec<f64>> = (0..rng.random_range(1usize..1_500))
+                .map(|k| row(reference.len() + k))
+                .collect();
+            if snapshots.is_empty() || rng.random_bool(0.3) {
+                snapshots.push(ds.clone());
+            }
+            ds.append_rows_in_place(&delta).unwrap();
+            reference.extend(delta);
+            for _ in 0..rng.random_range(0usize..4) {
+                let to = rng.random_range(aged..(aged + 1_400).min(ds.len()) + 1);
+                ds.age_rows(aged, to).unwrap();
+                aged = to;
+            }
+        }
+        let check = |store: &Arc<RowStore>, rows: &[Vec<f64>], rng: &mut StdRng| {
+            assert_eq!(store.len(), rows.len());
+            for (i, r) in rows.iter().enumerate() {
+                assert_eq!(store.row(i), r.as_slice(), "row {i}");
+            }
+            assert!(store.iter_rows().eq(rows.iter().map(Vec::as_slice)));
+            if rows.is_empty() {
+                return;
+            }
+            let start = rng.random_range(0..rows.len());
+            let len = rng.random_range(0..rows.len() - start + 1);
+            let dense = BlockView::dense(Arc::clone(store), start, len);
+            assert!(dense.iter().eq(rows[start..start + len].iter().map(Vec::as_slice)));
+            if len > 0 {
+                assert_eq!(dense.row(len - 1), rows[start + len - 1].as_slice());
+            }
+            let idx: Vec<usize> = (0..200).map(|_| rng.random_range(0..rows.len())).collect();
+            let sparse = BlockView::sparse(Arc::clone(store), Arc::from(idx.clone()));
+            for (k, (&i, got)) in idx.iter().zip(sparse.iter()).enumerate() {
+                assert_eq!(got, rows[i].as_slice());
+                assert_eq!(sparse.row(k), got);
+            }
+            let picked: Vec<Vec<f64>> = idx.iter().map(|&i| rows[i].clone()).collect();
+            assert_eq!(sparse.to_rows(), picked);
+        };
+        check(ds.store(), &reference, &mut rng);
+        check(ds.aged_store(), &reference[..aged], &mut rng);
+        prop_assert_eq!(&ds.store().to_rows(), &reference);
+        prop_assert_eq!(ds.aged_store().to_rows(), &reference[..aged]);
+        for snap in &snapshots {
+            check(snap.store(), &reference[..snap.len()], &mut rng);
+        }
+
+        // Window fingerprints: chunked store vs one flat segment.
+        let flat = RowStore::from_rows(&reference);
+        prop_assert!(**ds.store() == flat, "equal rows, equal stores");
+        for _ in 0..4 {
+            let start = rng.random_range(0..reference.len());
+            let end = rng.random_range(start..(start + 3 * CHUNK_ROWS / 2).min(reference.len()) + 1);
+            prop_assert_eq!(
+                window_epoch(ds.store(), start, end),
+                window_epoch(&flat, start, end)
+            );
+        }
+        // Registration epochs: chunked main and aged stores vs both
+        // registered in one piece.
+        let aged_rows = reference[..aged].to_vec();
+        let one_piece = Dataset::new(reference)
+            .unwrap()
+            .with_aged_rows(aged_rows)
+            .unwrap();
+        let mut manager = DatasetManager::new();
+        let budget = Epsilon::new(1.0).unwrap();
+        manager.add("chunked", ds.builder().budget(budget)).unwrap();
+        manager.add("flat", one_piece.builder().budget(budget)).unwrap();
+        prop_assert_eq!(
+            manager.get("chunked").unwrap().epoch(),
+            manager.get("flat").unwrap().epoch()
+        );
     }
 }
