@@ -49,10 +49,9 @@ pub struct RowStore {
     base: Arc<[f64]>,
     base_rows: usize,
     /// Appended rows, [`CHUNK_ROWS`] per chunk; only the last chunk may
-    /// be partly filled (its unfilled tail is zeros no row reaches).
-    /// Each chunk is allocated at its full size, so a row lookup is one
-    /// load of the chunk's pointer.
-    chunks: Vec<Arc<[f64]>>,
+    /// be partly filled. Each chunk reserves its full capacity when it
+    /// is created, so filling it never moves rows already in it.
+    chunks: Vec<Arc<Vec<f64>>>,
     arity: usize,
     rows: usize,
 }
@@ -127,15 +126,15 @@ impl RowStore {
         while delta.peek().is_some() {
             let filled = (self.rows - self.base_rows) & (CHUNK_ROWS - 1);
             if filled == 0 {
-                self.chunks.push(iter::repeat_n(0.0, size).collect());
+                self.chunks.push(Arc::new(Vec::with_capacity(size)));
             }
             let tail = self.chunks.last_mut().expect("an open chunk");
             if Arc::get_mut(tail).is_none() {
                 // A snapshot reads this chunk: copy its filled rows.
-                let kept = filled * arity;
-                let zeros = iter::repeat_n(0.0, size - kept);
-                *tail = tail[..kept].iter().copied().chain(zeros).collect();
-                written += kept;
+                let mut own = Vec::with_capacity(size);
+                own.extend_from_slice(tail);
+                written += own.len();
+                *tail = Arc::new(own);
             }
             let tail = Arc::get_mut(tail).expect("the open chunk is unshared");
             let mut added = 0;
@@ -146,8 +145,7 @@ impl RowStore {
                     mismatch = Some(row.len());
                     break;
                 }
-                let at = (filled + added) * arity;
-                tail[at..at + arity].copy_from_slice(row);
+                tail.extend_from_slice(row);
                 added += 1;
             }
             self.rows += added;
@@ -189,12 +187,6 @@ impl RowStore {
 
     /// Appended row `j` (row `base_rows + j` of the store).
     fn appended_row(&self, j: usize) -> &[f64] {
-        assert!(
-            j < self.rows - self.base_rows,
-            "row {} out of bounds for store of {} rows",
-            self.base_rows + j,
-            self.rows
-        );
         let offset = (j & (CHUNK_ROWS - 1)) * self.arity;
         &self.chunks[j >> CHUNK_SHIFT][offset..offset + self.arity]
     }
